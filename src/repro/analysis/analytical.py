@@ -7,8 +7,7 @@ system configuration, in one cheap pass:
 
 1. **Structural pass** (O(total ops), no hierarchy objects): each thread's
    column arrays are folded into *runs* — maximal chains of consecutive
-   same-block memory operations (the same notion the batched interpreter
-   uses).  Within a run only the leading access can miss the L1, so cache
+   same-block memory operations.  Within a run only the leading access can miss the L1, so cache
    behaviour is decided per run, not per op.
 2. **Cache-content estimate**: runs are interleaved across threads in
    estimated-clock order (a heap, exactly like the engine's scheduler) over

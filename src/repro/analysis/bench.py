@@ -9,14 +9,9 @@ Suites:
 
 * ``engine_tso``       — single-process engine throughput (trace ops/sec)
                          over a fixed (workload x scheme) grid under TSO,
-                         timing ``System.run`` only (trace build excluded).
-                         Runs the object **and** columnar interpreter per
-                         cell, asserts their stats/records are bit-identical
-                         (fingerprint compare), and reports the per-cell
-                         ``columnar_speedup`` plus the batched-interpreter
-                         telemetry.
-* ``engine_relaxed``   — object interpreter under relaxed consistency (the
-                         columnar path is TSO-only and falls back).
+                         timing ``System.run`` only (trace build excluded),
+                         best of three runs per cell.
+* ``engine_relaxed``   — the same engine under relaxed consistency.
 * ``trace_build``      — uncached workload trace generation for the full
                          Table IV suite.
 * ``batch_fig7``       — end-to-end Fig. 7 driver on a reduced workload
@@ -38,15 +33,11 @@ Suites:
                          stall deltas; ``ops_per_sec`` covers the whole
                          instrument + optimize + audit + measure cycle.
 
-The headline ``columnar_speedup`` is taken over *engine-bound* cells —
-those whose batched-path telemetry shows a private-op fraction of at least
-:data:`ENGINE_BOUND_FRACTION` (cells dominated by shared/coherence traffic
-measure the memory model, not the interpreter).  The cell set is derived
-from the measured telemetry, never from workload or scheme names.
-
 All suites use fixed seeds and sizes; the numbers are comparable across
-runs on the same machine.  ``run_smoke`` is the same equivalence +
-tolerance check on a tiny grid, cheap enough for CI.
+runs on the same machine.  ``run_smoke`` is a correctness gate on a tiny
+grid, cheap enough for CI: a ``ColumnarTrace`` and its ``ProgramTrace``
+must run bit-identically, and the analytical estimate must sit inside its
+tolerance band.
 """
 
 from __future__ import annotations
@@ -66,7 +57,8 @@ from repro.analysis.analytical import (
 from repro.analysis.experiments import default_sim_config, fig7
 from repro.core.registry import ADR, BBB, EADR
 from repro.ioutil import atomic_write_json
-from repro.api import RunOptions, build_system
+from repro.api import build_system
+from repro.sim.coltrace import ColumnarTrace
 from repro.sim.config import ConsistencyModel, SystemConfig
 from repro.workloads.base import (
     WORKLOAD_NAMES,
@@ -103,16 +95,6 @@ BATCH_SPEC = WorkloadSpec(threads=8, ops=100, elements=8192, seed=42)
 TRAFFIC_SCHEMES: Tuple[str, ...] = (BBB, EADR, ADR)
 TRAFFIC_LOADS: Tuple[float, ...] = (1.0, 4.0)
 TRAFFIC_REQUESTS = 120
-
-#: A cell counts as engine-bound when at least this fraction of its ops
-#: retired through the batched private-window path.
-ENGINE_BOUND_FRACTION = 0.9
-
-#: Headline gate: engine-bound cells must show at least this columnar
-#: speedup (checked in the report and by ``run_smoke``'s big sibling —
-#: CI does not gate on wall-clock ratios, which are noisy on shared
-#: runners).
-COLUMNAR_SPEEDUP_TARGET = 3.0
 
 #: Tiny grid for the CI smoke gate.
 SMOKE_SPEC = WorkloadSpec(threads=4, ops=40, elements=2048, seed=11)
@@ -157,17 +139,15 @@ def _suite_result(wall_s: float, ops: int, extra: Optional[Dict[str, Any]] = Non
     return result
 
 
-def _timed_run(scheme, kwargs, config, trace, initial_words, mode,
+def _timed_run(scheme, kwargs, config, trace, initial_words,
                repeats: int = 1):
     """Run the cell ``repeats`` times (fresh single-shot ``System`` each
-    time — only trace conversion and ``engine_prep`` stay warm, exactly
-    what grid/batch consumers amortise) and report the fastest run.
-    ``repeats=1`` therefore times a *cold* run, conversion included."""
+    time) and report the fastest run.  ``repeats=1`` therefore times a
+    *cold* run, including any columnar-to-object conversion."""
     best = None
     system = result = None
     for _ in range(max(1, repeats)):
-        system = build_system(scheme, config=config,
-                              options=RunOptions(mode=mode), **dict(kwargs))
+        system = build_system(scheme, config=config, **dict(kwargs))
         seed_media_words(system.nvmm_media, initial_words)
         t0 = time.perf_counter()
         result = system.run(trace, finalize=False)
@@ -178,66 +158,32 @@ def _timed_run(scheme, kwargs, config, trace, initial_words, mode,
 
 def _run_engine_grid(
     grid, spec: WorkloadSpec, config: SystemConfig,
-    modes: Tuple[str, ...] = ("object", "columnar"),
-    check_identical: bool = True,
     analytical: bool = False,
     repeats: int = 1,
 ) -> Dict[str, Any]:
     """Time ``System.run`` (only) for each grid cell; one process, serial.
 
-    With both discrete modes requested, each cell's stats/records are
-    fingerprint-compared — a mismatch raises, because every perf number in
-    the report is conditional on the two interpreters doing the same work.
-
-    ``repeats > 1`` reports each mode's best-of-N (steady state, one-time
-    conversion/prep costs amortised away, less scheduler noise); the
-    headline ``engine_tso`` suite uses it because its consumers — sweeps,
-    batches, campaigns — run each converted trace many times.
+    ``repeats > 1`` reports each cell's best-of-N (less scheduler noise);
+    the headline ``engine_tso`` suite uses it.  With ``analytical`` each
+    cell also records the closed-form estimate against the discrete run.
     """
     total_ops = 0
     total_s = 0.0
     per_run: List[Dict[str, Any]] = []
-    speedups: List[Tuple[float, float]] = []  # (private_fraction, speedup)
     analytical_ok = True
     for workload, scheme, kwargs in grid:
         trace, initial_words = build_cached(workload, config.mem, spec)
         n = trace.total_ops()
-        entry: Dict[str, Any] = {"workload": workload, "scheme": scheme}
-        fingerprints: Dict[str, str] = {}
-        last = None
-        for mode in modes:
-            system, result, dt = _timed_run(
-                scheme, kwargs, config, trace, initial_words, mode,
-                repeats=repeats)
-            fingerprints[mode] = fingerprint_run(result)
-            entry[f"wall_s_{mode}"] = round(dt, 4)
-            entry[f"ops_per_sec_{mode}"] = (
-                round(n / dt, 1) if dt > 0 else None)
-            if mode == "columnar":
-                counters = dict(system.engine.batch_counters)
-                priv = counters.get("private_ops", 0)
-                shared_ops = counters.get("shared_ops", 0)
-                denom = priv + shared_ops
-                counters["private_fraction"] = (
-                    round(priv / denom, 4) if denom else 0.0)
-                entry["batch"] = counters
-            last = (system, result, dt)
-        if check_identical and len(set(fingerprints.values())) > 1:
-            raise RuntimeError(
-                f"interpreter divergence on {workload}/{scheme}: "
-                f"{fingerprints}"
-            )
-        entry["fingerprint"] = next(iter(fingerprints.values()))
-        if "object" in modes and "columnar" in modes:
-            num = entry["wall_s_object"]
-            den = entry["wall_s_columnar"]
-            speedup = round(num / den, 2) if den else None
-            entry["columnar_speedup"] = speedup
-            if speedup is not None and "batch" in entry:
-                speedups.append(
-                    (entry["batch"]["private_fraction"], speedup))
-        if analytical and last is not None:
-            system, result, _ = last
+        _, result, dt = _timed_run(scheme, kwargs, config, trace,
+                                   initial_words, repeats=repeats)
+        entry: Dict[str, Any] = {
+            "workload": workload,
+            "scheme": scheme,
+            "wall_s": round(dt, 4),
+            "ops_per_sec": round(n / dt, 1) if dt > 0 else None,
+            "fingerprint": fingerprint_run(result),
+        }
+        if analytical:
             t0 = time.perf_counter()
             est = analytical_estimate(
                 trace, scheme, config,
@@ -254,36 +200,23 @@ def _run_engine_grid(
                 "ok": verdict["ok"],
             }
             analytical_ok = analytical_ok and verdict["ok"]
-        # Charge the suite clock with the preferred (last listed) mode.
         total_ops += n
-        total_s += entry[f"wall_s_{modes[-1]}"]
+        total_s += dt
         # Full counter set in the shared repro.simstats/v1 schema, so
         # perf numbers are comparable only when the work matched.
-        entry["stats"] = last[1].stats.to_dict()
+        entry["stats"] = result.stats.to_dict()
         per_run.append(entry)
-    extra: Dict[str, Any] = {"runs": per_run, "modes": list(modes)}
-    if speedups:
-        engine_bound = [s for frac, s in speedups
-                        if frac >= ENGINE_BOUND_FRACTION]
-        extra["engine_bound_speedup"] = (
-            round(max(engine_bound), 2) if engine_bound else None)
-        extra["engine_bound_cells"] = len(engine_bound)
-        extra["columnar_target"] = COLUMNAR_SPEEDUP_TARGET
-        extra["columnar_target_met"] = bool(
-            engine_bound and max(engine_bound) >= COLUMNAR_SPEEDUP_TARGET)
+    extra: Dict[str, Any] = {"runs": per_run}
     if analytical:
         extra["analytical_ok"] = analytical_ok
         extra["tolerance"] = dict(TOLERANCE)
     return _suite_result(total_s, total_ops, extra)
 
 
-def bench_engine_tso(
-    modes: Tuple[str, ...] = ("object", "columnar"),
-    analytical: bool = True,
-) -> Dict[str, Any]:
+def bench_engine_tso() -> Dict[str, Any]:
     return _run_engine_grid(
         ENGINE_GRID, ENGINE_SPEC, default_sim_config(),
-        modes=modes, analytical=analytical, repeats=3,
+        analytical=True, repeats=3,
     )
 
 
@@ -293,10 +226,7 @@ def bench_engine_relaxed() -> Dict[str, Any]:
     config = dataclasses.replace(
         default_sim_config(), consistency=ConsistencyModel.RELAXED
     )
-    return _run_engine_grid(
-        RELAXED_GRID, ENGINE_SPEC, config,
-        modes=("object",), check_identical=False,
-    )
+    return _run_engine_grid(RELAXED_GRID, ENGINE_SPEC, config)
 
 
 def bench_trace_build() -> Dict[str, Any]:
@@ -384,18 +314,17 @@ def bench_opt() -> Dict[str, Any]:
     })
 
 
-#: ``--mode`` values accepted by ``repro bench`` -> engine_tso modes.
-BENCH_MODES = ("all", "object", "columnar", "analytical")
+#: ``--mode`` values accepted by ``repro bench``.
+BENCH_MODES = ("all", "analytical")
 
 
 def run_bench(jobs: Optional[int] = None, mode: str = "all") -> Dict[str, Any]:
     """Run every suite and return the full report structure.
 
-    ``mode`` narrows the engine_tso suite: ``object`` / ``columnar`` time
-    one interpreter only (no equivalence check possible with a single
-    mode), ``analytical`` skips the timing comparison and reports only the
-    closed-form model against the discrete sim, ``all`` (default) records
-    object, columnar, and analytical together.
+    ``mode`` shapes the engine_tso suite: ``all`` (default) times each
+    cell best-of-three alongside the analytical estimate; ``analytical``
+    runs each cell once, for the closed-form model against the discrete
+    sim without the timing repeats.
     """
     if mode not in BENCH_MODES:
         raise ValueError(
@@ -406,11 +335,8 @@ def run_bench(jobs: Optional[int] = None, mode: str = "all") -> Dict[str, Any]:
         engine = bench_engine_tso()
     elif mode == "analytical":
         engine = _run_engine_grid(
-            ENGINE_GRID, ENGINE_SPEC, default_sim_config(),
-            modes=("columnar",), check_identical=False, analytical=True,
+            ENGINE_GRID, ENGINE_SPEC, default_sim_config(), analytical=True,
         )
-    else:
-        engine = bench_engine_tso(modes=(mode,), analytical=False)
     suites = {
         "engine_tso": engine,
         "engine_relaxed": bench_engine_relaxed(),
@@ -431,23 +357,24 @@ def run_bench(jobs: Optional[int] = None, mode: str = "all") -> Dict[str, Any]:
 
 
 def run_smoke() -> Dict[str, Any]:
-    """CI gate: columnar-vs-object bit-identity plus the analytical
-    tolerance band, on a tiny grid.  Returns ``{"ok": bool, ...}``; no
-    wall-clock ratios are checked (those are meaningless on shared CI
-    runners) — only correctness properties.
+    """CI gate on a tiny grid: each cell's trace, handed to the engine as
+    a fresh :class:`~repro.sim.coltrace.ColumnarTrace` (the batch runner's
+    shared-memory form), must run bit-identically to its ``ProgramTrace``,
+    and the analytical estimate must sit inside the tolerance band.
+    Returns ``{"ok": bool, ...}``; no wall-clock ratios are checked (those
+    are meaningless on shared CI runners) — only correctness properties.
     """
     config = default_sim_config()
     cells: List[Dict[str, Any]] = []
     ok = True
     for workload, scheme, kwargs in ENGINE_GRID:
         trace, initial_words = build_cached(workload, config.mem, SMOKE_SPEC)
-        fps = {}
-        result = None
-        for mode in ("object", "columnar"):
+        fps = []
+        for source in (trace, ColumnarTrace.from_program(trace)):
             _, result, _ = _timed_run(
-                scheme, kwargs, config, trace, initial_words, mode)
-            fps[mode] = fingerprint_run(result)
-        identical = fps["object"] == fps["columnar"]
+                scheme, kwargs, config, source, initial_words)
+            fps.append(fingerprint_run(result))
+        identical = fps[0] == fps[1]
         est = analytical_estimate(
             trace, scheme, config,
             entries=dict(kwargs).get("entries"), finalize=False)

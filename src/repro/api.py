@@ -111,8 +111,8 @@ class RunOptions:
     fault_injector: FaultInjector = NULL_INJECTOR
     #: Micro-step crash schedule (model checker; default: never fires).
     crash_schedule: CrashSchedule = NULL_SCHEDULE
-    #: Execution mode: an engine interpreter mode (``auto`` / ``object``
-    #: / ``columnar``) or ``analytical`` (closed-form model).
+    #: Execution mode: ``auto`` (default) or its synonym ``object`` run
+    #: the discrete engine; ``analytical`` runs the closed-form model.
     mode: str = "auto"
 
     def __post_init__(self) -> None:

@@ -93,7 +93,7 @@ from repro.sim.tracefile import save_trace
 #: Mirror of :data:`repro.analysis.bench.BENCH_MODES` — duplicated so the
 #: parser builds without importing the (heavier) bench module; the bench
 #: module asserts the two stay in sync.
-BENCH_MODES = ("all", "object", "columnar", "analytical")
+BENCH_MODES = ("all", "analytical")
 from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
 
 
@@ -348,8 +348,8 @@ def cmd_bench(args) -> int:
                   f"identical={cell['identical']} "
                   f"analytical=({errs}) {status}")
         if not report["ok"]:
-            print("bench smoke FAILED: interpreter divergence or analytical "
-                  "estimate out of tolerance", file=sys.stderr)
+            print("bench smoke FAILED: trace representations diverge or "
+                  "analytical estimate out of tolerance", file=sys.stderr)
             return 1
         print("bench smoke ok")
         return 0
@@ -379,11 +379,6 @@ def cmd_bench(args) -> int:
         title=f"bench @ {report['revision']} (python {report['python']})",
     ))
     engine = report["suites"]["engine_tso"]
-    if "engine_bound_speedup" in engine:
-        met = "met" if engine.get("columnar_target_met") else "NOT met"
-        print(f"columnar speedup (engine-bound cells): "
-              f"{engine['engine_bound_speedup']}x "
-              f"(target {engine['columnar_target']}x {met})")
     if "analytical_ok" in engine:
         print(f"analytical within tolerance: {engine['analytical_ok']}")
     print(f"wrote {path}")
@@ -1064,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_SCHEME)
     p_run.add_argument("--entries", type=int, default=32, help="bbPB entries")
     p_run.add_argument("--mode", choices=SYSTEM_MODES, default="auto",
-                       help="interpreter mode: auto/object/columnar run the "
+                       help="execution mode: auto/object run the "
                             "discrete engine, analytical uses the "
                             "closed-form model")
     p_run.add_argument("--no-finalize", action="store_true",
@@ -1178,14 +1173,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--jobs", type=int, default=None,
                          help="workers for the batch suite (default: REPRO_JOBS/CPUs)")
     p_bench.add_argument("--mode", choices=BENCH_MODES, default="all",
-                         help="engine suite coverage: object / columnar "
-                              "time one interpreter, analytical reports the "
-                              "closed-form model only, all records "
-                              "everything (default)")
+                         help="engine suite coverage: all times each cell "
+                              "best-of-three with the analytical estimate "
+                              "(default), analytical runs each cell once")
     p_bench.add_argument("--smoke", action="store_true",
-                         help="CI gate: tiny columnar-vs-object equivalence "
-                              "+ analytical tolerance check; exits non-zero "
-                              "on any mismatch (no timing)")
+                         help="CI gate: tiny columnar-vs-object trace "
+                              "equivalence + analytical tolerance check; "
+                              "exits non-zero on any mismatch (no timing)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_drill = sub.add_parser(

@@ -238,25 +238,11 @@ class SchemeInfo:
     #: False for schemes that exist to demonstrate inconsistency (``none``)
     #: — comparison drivers skip them.
     crash_consistent: bool = True
-    #: Whether the scheme's persist-path hooks (``on_persisting_store``,
-    #: ``on_remote_invalidation``, ``on_llc_eviction``, epoch handling,
-    #: drains) leave L1 *contents* alone, touching only scheme-private
-    #: buffers, NVMM, and statistics.  The engine's batched columnar
-    #: interpreter relies on this to keep its per-core L1-residency scans
-    #: valid across shared ops; schemes that set it False stay fully
-    #: supported but force the interpreter to conservatively rescan every
-    #: core after each shared op.  All builtin schemes qualify as True.
-    cache_local_persists: bool = True
-    #: True when the scheme's persisting-store hook never stalls, keeps no
-    #: persist-side buffer state, and is insensitive to call order and the
-    #: ``now`` argument (its effects are commutative counters at most),
-    #: and ``bbpb_owner_of`` is always None.  The batched interpreter may
-    #: then retire M-state-hit persisting stores on the private fast path
-    #: (persist records are re-sequenced into exact global order
-    #: afterwards).  Schemes with persist-side buffering — whose drain
-    #: timing couples cores through the shared NVMM write ports — must
-    #: leave this False so every persisting store executes in exact global
-    #: order.
+    #: True when the scheme's persisting-store hook never stalls and keeps
+    #: no persist-side buffer state, so durability rides on natural LLC
+    #: eviction (eADR, the no-persistency baseline).  The analytical model
+    #: (:mod:`repro.analysis.analytical`) is its only reader: it then
+    #: estimates NVMM writes from dirty persistent LLC evictions.
     stall_free_persists: bool = False
     #: What the scheme degrades to when battery health is in doubt (one
     #: of :data:`DEGRADED_MODES`).  ``DEGRADED_WRITE_THROUGH`` lets the
@@ -351,7 +337,6 @@ def register_scheme(
     battery_domain: bool = False,
     comparison_baseline: bool = False,
     crash_consistent: bool = True,
-    cache_local_persists: bool = True,
     stall_free_persists: bool = False,
     degraded_mode: str = DEGRADED_NONE,
     persistency_model: str = MODEL_UNDECLARED,
@@ -416,7 +401,6 @@ def register_scheme(
             battery_backed_sb=bool(getattr(cls, "battery_backed_sb", False)),
             comparison_baseline=comparison_baseline,
             crash_consistent=crash_consistent,
-            cache_local_persists=cache_local_persists,
             stall_free_persists=stall_free_persists,
             degraded_mode=degraded_mode,
             persistency_model=persistency_model,

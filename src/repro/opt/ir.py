@@ -21,7 +21,7 @@ enriched with two pieces of metadata the executable trace never carried:
 
 Conversions are lossless in both directions: ``to_trace``/``from_trace``
 map to the object representation the engine executes, and
-``to_columnar``/``from_columnar`` to the batched columnar one; only the
+``to_columnar``/``from_columnar`` to the columnar one; only the
 metadata (which the engine ignores) is shed on the way out and must be
 re-derived on the way in.
 
@@ -210,7 +210,7 @@ class Program:
         return Program(threads=threads, name=name)
 
     def to_columnar(self):
-        """The batched columnar form (via the object trace — same bytes
+        """The columnar form (via the object trace — same bytes
         on disk, see :mod:`repro.sim.tracefile`)."""
         from repro.sim.coltrace import columnar_of
 

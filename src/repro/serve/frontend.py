@@ -52,8 +52,8 @@ pair always produces the same latencies and the same fingerprint-stable
 engine results.  With the overload features disabled the reactor issues
 the exact per-core call sequence it always has — fault-free default
 traffic is bit-identical run to run and release to release.  Open-loop
-runs use only ``feed``/``advance``/``end`` and interoperate with the
-batched columnar interpreter; closed-loop runs additionally use
+runs use only ``feed``/``advance``/``end``, so they are bit-identical to
+a materialized ``Engine.run``; closed-loop runs additionally use
 ``idle``, whose wake policy has no materialized-trace equivalent (the
 run is still deterministic — it is just not claimed bit-identical to any
 ``Engine.run`` invocation).

@@ -19,18 +19,18 @@ side table.  ``ProgramTrace`` objects convert through the memoized
 :func:`columnar_of` so repeated runs of one cached trace (scheme sweeps,
 bench grids) share a single conversion.
 
-The batched interpreter (:meth:`repro.sim.engine.Engine.run` in columnar
-mode) consumes the columns directly; :meth:`ColumnarTrace.engine_prep`
-caches the derived per-op arrays (block addresses, set indices, private
-costs) per memory geometry so they are computed once per trace, not once
-per run.
+The columns feed the shared-memory batch handoff
+(:mod:`repro.analysis.batch`), the trace file format
+(:mod:`repro.sim.tracefile`), the analytical model and the optimizer IR;
+the engine accepts a ``ColumnarTrace`` and runs its :meth:`to_program`
+form.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary, WeakValueDictionary
+from weakref import WeakKeyDictionary, ref
 
 from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp
 
@@ -76,11 +76,10 @@ else:  # pragma: no cover
 def _store_byte_dicts(
     offs: List[int], vals: List[int], sizes: List[int]
 ) -> List[Dict[int, int]]:
-    """Precompute each private store's ``{byte offset: byte value}`` payload.
-
-    The batched interpreter applies one with a single C-level
-    ``dict.update`` on the block's sparse byte map — the same result as
-    ``BlockData.write_word`` at a third of the cost.
+    """Precompute each private store's ``{byte offset: byte value}`` payload
+    (one ``dict.update`` on a block's sparse byte map has the same effect
+    as ``BlockData.write_word``).  Only :meth:`ColumnarTrace.engine_prep`
+    calls it.
     """
     out: List[Dict[int, int]] = []
     app = out.append
@@ -108,7 +107,7 @@ class ThreadColumns:
     authoritative).  ``tags`` maps op index -> tag string (sparse);
     ``wide`` maps op index -> the original :class:`TraceOp` for ops whose
     integer fields exceed the column widths (kept for losslessness — the
-    fast interpreter path refuses traces that need it)."""
+    shared-memory batch handoff refuses traces that need it)."""
 
     __slots__ = ("n", "rows", "kinds", "addrs", "sizes", "values", "cycles",
                  "tags", "wide")
@@ -197,6 +196,18 @@ class ThreadColumns:
         )
 
 
+def _thread_ops(t: ThreadColumns) -> List[TraceOp]:
+    """Every op of one thread as a :class:`TraceOp` — the same objects as
+    :meth:`ThreadColumns.op_at`, built from plain column lists."""
+    wide = t.wide
+    tags = t.tags
+    return [
+        wide.get(i) or TraceOp(CODE_TO_KIND[k], addr=a, size=s, value=v,
+                               cycles=c, tag=tags.get(i))
+        for i, (k, a, s, v, c) in enumerate(zip(*t.column_lists()))
+    ]
+
+
 class ColumnarTrace:
     """A multi-threaded program stored column-wise.
 
@@ -213,6 +224,11 @@ class ColumnarTrace:
         #: :meth:`engine_prep`.
         self._prep: Dict[Tuple, Tuple] = {}
         self._program: Optional[ProgramTrace] = None
+        #: Weak link to the ProgramTrace this was converted from (set by
+        #: :func:`columnar_of`): :meth:`to_program` returns that very
+        #: object while it lives.  A strong link would keep every trace in
+        #: the :func:`columnar_of` cache alive forever.
+        self._source: Optional[ref] = None
 
     # ------------------------------------------------------------------
     # Shape
@@ -226,8 +242,8 @@ class ColumnarTrace:
 
     @property
     def fast_path_ok(self) -> bool:
-        """True when every op fits the fixed-width columns (tags are fine
-        — the engine never reads them)."""
+        """True when every op fits the fixed-width columns (tags are fine),
+        so the columns alone carry the whole program."""
         return not any(t.wide for t in self.threads)
 
     # ------------------------------------------------------------------
@@ -264,17 +280,21 @@ class ColumnarTrace:
         return cls(threads)
 
     def to_program(self) -> ProgramTrace:
-        """Rebuild the object representation (memoized)."""
+        """The object representation: the source trace while it is alive,
+        else rebuilt from the columns (memoized)."""
+        source = self._source() if self._source is not None else None
+        if source is not None:
+            return source
         if self._program is None:
             self._program = ProgramTrace([
-                ThreadTrace(t.op_at(i) for i in range(t.n))
-                for t in self.threads
+                ThreadTrace(_thread_ops(t)) for t in self.threads
             ])
         return self._program
 
     # ------------------------------------------------------------------
     # Interpreter support
     # ------------------------------------------------------------------
+    # Unused by the package; kept because perfbench/layers.py wraps it by name.
     def engine_prep(
         self,
         block_mask: int,
@@ -286,7 +306,7 @@ class ColumnarTrace:
         store_cost: int,
         persists_private: bool = False,
     ) -> Tuple[List[List[int]], ...]:
-        """Per-thread derived arrays for the batched interpreter, memoized
+        """Per-thread derived arrays for a batched interpreter, memoized
         per (memory layout, L1 geometry, latency) key.
 
         COMPUTE ops never touch shared state, so the interpreter only ever
@@ -537,11 +557,6 @@ class ColumnarTrace:
 _COLUMNAR_CACHE: "WeakKeyDictionary[ProgramTrace, ColumnarTrace]" = (
     WeakKeyDictionary()
 )
-#: Keeps the source ProgramTrace alive (and the weak-key entry valid) as
-#: long as its columnar form is referenced.
-_SOURCE_KEEPALIVE: "WeakValueDictionary[int, ProgramTrace]" = (
-    WeakValueDictionary()
-)
 
 
 def columnar_of(trace: ProgramTrace) -> ColumnarTrace:
@@ -556,9 +571,8 @@ def columnar_of(trace: ProgramTrace) -> ColumnarTrace:
     cols = _COLUMNAR_CACHE.get(trace)
     if cols is None:
         cols = ColumnarTrace.from_program(trace)
-        cols._program = trace  # exact object round-trip for free
+        cols._source = ref(trace)
         _COLUMNAR_CACHE[trace] = cols
-        _SOURCE_KEEPALIVE[id(cols)] = trace
     return cols
 
 

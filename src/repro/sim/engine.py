@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Deque, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.check.schedule import SITE_OP, CrashNow, FiredPoint
 from repro.core.persistency import DrainReport
-from repro.mem.block import I as MESI_I, M as MESI_M, block_address
-from repro.mem.hierarchy import STORE_COMMIT_CYCLES, MemoryHierarchy
+from repro.mem.block import block_address
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.events import (
     STALL_EPOCH,
     STALL_FLUSH_FENCE,
@@ -41,24 +40,11 @@ from repro.obs.events import (
     StallBegin,
     StallEnd,
 )
-from repro.sim.coltrace import (
-    KIND_TO_CODE,
-    ColumnarTrace,
-    ThreadColumns,
-    _fits,
-    columnar_of,
-)
+from repro.sim.coltrace import program_of
 from repro.sim.config import ConsistencyModel
 from repro.sim.reference import LogKind, LogRecord
 from repro.sim.stats import SimStats
-from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp
-
-#: Interpreter modes accepted by :class:`Engine`.  ``auto`` uses the
-#: batched columnar path whenever it is handed a :class:`ColumnarTrace`
-#: and the run is eligible; ``columnar`` additionally converts incoming
-#: ``ProgramTrace`` objects (memoized); ``object`` always interprets one
-#: ``TraceOp`` at a time.
-ENGINE_MODES = ("auto", "object", "columnar")
+from repro.sim.trace import OpKind, ProgramTrace, TraceOp
 
 
 class PersistRecord(NamedTuple):
@@ -109,18 +95,11 @@ class Engine:
         reorder_seed: int = 0,
         release_probability: float = 0.5,
         log: bool = False,
-        mode: str = "auto",
     ) -> None:
-        if mode not in ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine mode {mode!r}; expected one of "
-                f"{', '.join(ENGINE_MODES)}"
-            )
         self.hierarchy = hierarchy
         self.config = hierarchy.config
         self.stats = hierarchy.stats
         self.consistency = consistency or self.config.consistency
-        self.mode = mode
         self._rng = random.Random(reorder_seed)
         self._release_probability = release_probability
         self._log_enabled = log
@@ -130,43 +109,14 @@ class Engine:
         self._is_persistent = self.config.mem.is_persistent
         self._store_buffers = hierarchy.store_buffers
         self._bus = hierarchy.bus
-        #: Batched-interpreter telemetry for the last run that used the
-        #: columnar path (projected as ``engine.batch.*`` metrics by
-        #: :meth:`publish_batch_metrics`).  Zeroes mean "object path".
+        # Always zero (every op runs through _execute).  Kept only because
+        # the repository benchmark reads it to label each run's engine path.
         self.batch_counters = {
             "phases": 0,
             "private_ops": 0,
             "shared_ops": 0,
             "rescans": 0,
-            "scanned_ops": 0,
         }
-
-    # ------------------------------------------------------------------
-    # Batched-path eligibility and telemetry
-    # ------------------------------------------------------------------
-    def _scheme_flags(self) -> "tuple[bool, bool]":
-        """``(cache_local_persists, stall_free_persists)`` of the active
-        scheme (see :class:`repro.core.registry.SchemeInfo`).  Unregistered
-        schemes get the conservative answers."""
-        from repro.core.registry import scheme_info
-
-        try:
-            info = scheme_info(getattr(self.hierarchy.scheme, "name", ""))
-        except ValueError:
-            return False, False
-        return info.cache_local_persists, info.stall_free_persists
-
-    def publish_batch_metrics(self, registry) -> None:
-        """Project the last run's batched-interpreter counters into an
-        :class:`~repro.obs.metrics.MetricsRegistry` as ``engine.batch.*``.
-        Counters live on the engine (not :class:`SimStats`): the batched
-        path must produce bit-identical stats, so its telemetry cannot
-        ride in them."""
-        for key, value in self.batch_counters.items():
-            registry.counter(
-                f"engine.batch.{key}",
-                f"batched columnar interpreter: {key.replace('_', ' ')}",
-            ).inc(value)
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -186,86 +136,60 @@ class Engine:
         outstanding persistence-domain state so the media image is complete.
 
         ``trace`` may be a :class:`ProgramTrace` or a
-        :class:`~repro.sim.coltrace.ColumnarTrace`; both representations
-        produce identical results.  In ``auto``/``columnar`` mode,
-        eligible runs (TSO, no crash scheduling, no fault injection, no
-        execution log) take the batched columnar path.
+        :class:`~repro.sim.coltrace.ColumnarTrace` (converted back to ops
+        once, memoized on the columnar trace); both representations
+        produce identical results.  Every op runs through :meth:`_execute`
+        in the order of a min-heap over ``(clock, core)``.
         """
         if trace.num_threads > self.config.num_cores:
             raise ValueError(
                 f"trace has {trace.num_threads} threads but the system has "
                 f"{self.config.num_cores} cores"
             )
+        trace = program_of(trace)
         schedule = self.hierarchy.crash_schedule
         schedule_on = schedule.enabled
-        cols: Optional[ColumnarTrace] = (
-            trace if isinstance(trace, ColumnarTrace) else None
-        )
-        if self.mode == "object":
-            if cols is not None:
-                trace = cols.to_program()
-            cols = None
-        elif cols is None and self.mode == "columnar":
-            cols = columnar_of(trace)
-        batched = (
-            cols is not None
-            and self._tso
-            and crash_at_op is None
-            and not schedule_on
-            and not self._log_enabled
-            and not self.hierarchy.fault_injector.enabled
-            and cols.fast_path_ok
-        )
         result = RunResult(stats=self.stats)
         num_threads = trace.num_threads
         clocks = [0] * num_threads
         indices = [0] * num_threads
         flush_outstanding: List[List[int]] = [[] for _ in range(num_threads)]
         executed = 0
-        for key in self.batch_counters:
-            self.batch_counters[key] = 0
 
-        if batched:
-            executed, _ = self._run_columnar(
-                cols, result, clocks, indices, flush_outstanding
-            )
-        else:
-            if cols is not None:
-                trace = cols.to_program()
-            # Min-heap scheduler: always step the core with the smallest
-            # clock, ties broken by core index — identical to a min() over
-            # live cores, but O(log n) per step and with no per-step
-            # liveness list-build.
-            ops_per_core = [t.ops for t in trace.threads]
-            lengths = [len(ops) for ops in ops_per_core]
-            heap = [(0, c) for c in range(num_threads) if lengths[c]]
-            execute = self._execute
-            while heap:
-                clock, core = heapq.heappop(heap)
-                i = indices[core]
-                op = ops_per_core[core][i]
-                indices[core] = i + 1
-                try:
-                    clock = execute(core, op, clock, result,
-                                    flush_outstanding[core])
-                    clocks[core] = clock
-                    executed += 1
-                    if schedule_on:
-                        schedule.reached(SITE_OP, clock)
-                except CrashNow as crash:
-                    # A scheduled micro-step crash fired inside (or right
-                    # after) this op: ``executed`` counts fully-executed ops.
-                    clocks[core] = max(clocks[core], clock)
-                    result.crashed = True
-                    result.crash_op = executed
-                    result.crash_point = crash.point
-                    break
-                if i + 1 < lengths[core]:
-                    heapq.heappush(heap, (clock, core))
-                if crash_at_op is not None and executed >= crash_at_op:
-                    result.crashed = True
-                    result.crash_op = executed
-                    break
+        # Min-heap scheduler: always step the core with the smallest
+        # clock, ties broken by core index — identical to a min() over
+        # live cores, but O(log n) per step and with no per-step
+        # liveness list-build.
+        ops_per_core = [t.ops for t in trace.threads]
+        lengths = [len(ops) for ops in ops_per_core]
+        heap = [(0, c) for c in range(num_threads) if lengths[c]]
+        execute = self._execute
+        while heap:
+            clock, core = heapq.heappop(heap)
+            i = indices[core]
+            op = ops_per_core[core][i]
+            indices[core] = i + 1
+            try:
+                clock = execute(core, op, clock, result,
+                                flush_outstanding[core])
+                clocks[core] = clock
+                executed += 1
+                if schedule_on:
+                    schedule.reached(SITE_OP, clock)
+            except CrashNow as crash:
+                # A scheduled micro-step crash fired inside (or right
+                # after) this op: ``executed`` counts fully-executed ops.
+                clocks[core] = max(clocks[core], clock)
+                result.crashed = True
+                result.crash_op = executed
+                result.crash_point = crash.point
+                break
+            if i + 1 < lengths[core]:
+                heapq.heappush(heap, (clock, core))
+            if crash_at_op is not None and executed >= crash_at_op:
+                result.crashed = True
+                result.crash_op = executed
+                break
 
         return self._epilogue(result, clocks, flush_outstanding, executed,
                               finalize)
@@ -302,459 +226,6 @@ class Engine:
         for core, clock in enumerate(clocks):
             self.stats.core[core].cycles = clock
         return result
-
-    # ------------------------------------------------------------------
-    # Batched columnar interpreter
-    # ------------------------------------------------------------------
-    def _run_columnar(
-        self,
-        cols: ColumnarTrace,
-        result: RunResult,
-        clocks: List[int],
-        indices: List[int],
-        flush_outstanding: List[List[int]],
-        open_ends: Optional[List[bool]] = None,
-    ) -> "Tuple[int, Optional[int]]":
-        """Scan/cut batched execution of an eligible (TSO, crash-free) run.
-
-        Returns ``(executed, starved)``.  ``starved`` is ``None`` for a
-        complete run; with ``open_ends`` it names the core whose barrier
-        halted the window (see below).
-
-        Correctness rests on the *private-ops-commute* property: an L1-hit
-        LOAD, an M-state-hit non-persisting STORE, and a COMPUTE touch only
-        core-private state (the core's own L1 array and per-array LRU
-        clock, its own ``CoreStats`` counters, its own clock, data the core
-        holds exclusively), so reordering them across cores cannot change
-        any observable.  MESI guarantees a cross-core conflict on the same
-        block always involves a *shared* op (a miss or an upgrade) on at
-        least one side, and private ops never change L1 residency or MESI
-        state — so whether each upcoming op is private can be *scanned*
-        without executing anything.
-
-        Each phase therefore: (1) rescans cores whose previous scan was
-        invalidated, parking each at its first shared op with the clock it
-        would reach it at (private costs are deterministic); (2) picks the
-        globally next shared op S* = min over (park clock, core); (3)
-        retires every core's scanned private ops whose heap position
-        ``(clock, core)`` orders *before* S* — exactly the ops the min-heap
-        would have popped first; (4) executes S* through the unchanged
-        per-op path, preserving the exact global order of every shared op
-        (and with it persist-record sequencing, coherence traffic, stats,
-        and LRU decisions bit for bit); (5) invalidates the scan of S*'s
-        core and of any core whose L1 the shared op touched (tracked by
-        ``MemoryHierarchy.l1_versions``; schemes without
-        ``cache_local_persists`` invalidate everyone).
-
-        Schemes declaring ``stall_free_persists`` (their persist hook is a
-        stall-free, order-insensitive counter at most — eADR, the
-        no-persistency baseline) additionally retire M-state-hit
-        *persisting* stores on the private path: the persist hook still
-        runs per store, but the (committed, performed) record pair is
-        captured with the op's heap position ``(clock, core)`` and the
-        full record list is re-sequenced into exact global order after the
-        run (record-producing ops advance their core's clock, so heap
-        positions are unique and totally ordered).
-
-        **Open ends (streaming windows).**  ``open_ends[c]`` marks core
-        ``c``'s column as an *incomplete prefix*: more ops may be fed
-        later.  An exhausted open core acts as a **barrier** at heap key
-        ``(clocks[c], c)`` — ops of other cores ordering at or after the
-        barrier are neither retired nor executed, because an op fed to
-        ``c`` later could order before them.  When the barrier is the
-        globally next key the window stops and the barrier core is
-        returned as ``starved``; every op executed in the window orders
-        strictly before the barrier, so consecutive windows concatenate
-        into exactly the global heap order of a materialized run (the
-        per-window record re-sequencing below is globally correct for the
-        same reason).  Cores with ``open_ends[c]`` false behave as in a
-        one-shot run: their column is final and its end never blocks
-        anyone.
-        """
-        h = self.hierarchy
-        config = self.config
-        mem = config.mem
-        load_cost = config.l1d.hit_latency
-        store_cost = STORE_COMMIT_CYCLES + 1
-        cache_local, persists_private = self._scheme_flags()
-        (prefix_t, mord_t, mcls_t, mbaddr_t, mset_t, rix_t, rend_t,
-         nst_t, sord_t, soff_t, sval_t, ssiz_t, spst_t,
-         sbyt_t) = cols.engine_prep(
-            config.block_size - 1,
-            mem.persistent_base,
-            mem.nvmm_limit,
-            config.l1d.block_size.bit_length() - 1,
-            config.l1d.num_sets,
-            load_cost,
-            store_cost,
-            persists_private,
-        )
-        n = cols.num_threads
-        lengths = [t.n for t in cols.threads]
-        mlens = [len(m) for m in mord_t]
-        prog = cols._program  # ops for shared dispatch, if already built
-        ops_pc = [t.ops for t in prog.threads] if prog is not None else None
-        sets_c = [h.l1s[c]._sets for c in range(n)]
-        l1_versions = h.l1_versions
-        core_stats = self.stats.core
-        execute = self._execute
-        conservative = not cache_local
-        counters = self.batch_counters
-        # Private-persist support (stall_free_persists schemes only).
-        on_pstore = h.scheme.on_persisting_store
-        llc = h.llc
-        llc_sets = llc._sets
-        llc_shift = llc._block_shift
-        llc_mask = llc._set_mask
-        llc_nsets = llc.config.num_sets
-        seq_base = self._seq
-        committed = result.committed_persists
-        # Streaming windows append to lists that already hold earlier
-        # windows' records; re-sequencing must only touch this window's
-        # slice (all earlier keys order strictly before the barrier).
-        committed_base = len(committed)
-        performed_base = len(result.performed_persists)
-        #: Deferred private persist records: (pop clock, core, addr, size,
-        #: value) — merged with the shared-op records at the end.
-        priv_records: List["tuple"] = []
-        #: Heap position of each shared-op (committed, performed) pair, in
-        #: append order, for the same merge.
-        shared_tags: List["tuple"] = []
-
-        mpos = [0] * n            # current memory-op position per core
-        park_idx = [0] * n        # park point as an op index
-        park_mem = [0] * n        # park point as a memory-op position
-        park_clock = [0] * n
-        #: Block refs captured by the last scan, one per *run* of
-        #: same-block ops, indexed ``rix[m] - scan_rix0``.  Safe across
-        #: phases: any mutation of the core's L1 bumps its
-        #: ``l1_versions`` entry and forces a rescan before the next use.
-        scan_blks: List[list] = [[] for _ in range(n)]
-        scan_rix0 = [0] * n       # run index of the first cached ref
-        scan_hi = [0] * n         # mem position the cached refs extend to
-        valid = [False] * n
-        seen = [0] * n
-        executed = 0
-        phases = 0
-        rescans = 0
-        scanned_ops = 0
-        shared_ops = 0
-        starved: Optional[int] = None
-        cores = list(range(n))
-        _I = MESI_I
-        _M = MESI_M
-
-        while True:
-            # -- (1) rescan invalidated cores to their park points --------
-            # Only memory ops can be shared or change privacy, so the scan
-            # walks the memory-op columns; the park clock comes from the
-            # cost prefix sum in O(1).
-            for c in cores:
-                if valid[c]:
-                    continue
-                rescans += 1
-                mp = mpos[c]
-                mcls = mcls_t[c]
-                mlen = mlens[c]
-                hi = scan_hi[c]
-                if mp < hi and not conservative:
-                    # The core still sits inside its cached scan window, so
-                    # this rescan was forced by a *remote* version bump.
-                    # Dead blocks are state-I-marked and remote activity
-                    # can only invalidate or downgrade this core's blocks
-                    # (never install), so a state-only recheck of the
-                    # cached refs is exact — no dict walks, and the park
-                    # point can only move earlier.
-                    sblks = scan_blks[c]
-                    rix = rix_t[c]
-                    rend = rend_t[c]
-                    nst = nst_t[c]
-                    sord = sord_t[c]
-                    nstores = len(sord)
-                    rbase = scan_rix0[c]
-                    while mp < hi:
-                        st = sblks[rix[mp] - rbase].state
-                        if st is _I:
-                            break
-                        e = rend[mp]
-                        if e > hi:
-                            e = hi
-                        if st is not _M:
-                            # Loads stay private on any valid state, but
-                            # the run parks at its first store.
-                            s0 = nst[mp]
-                            fs = sord[s0] if s0 < nstores else mlen
-                            if fs < e:
-                                mp = fs
-                                break
-                        mp = e
-                else:
-                    # First scan, or the core consumed its window (its
-                    # parked op was dispatched): walk fresh from mpos.
-                    mbad = mbaddr_t[c]
-                    msets = mset_t[c]
-                    sets = sets_c[c]
-                    rend = rend_t[c]
-                    nst = nst_t[c]
-                    sord = sord_t[c]
-                    nstores = len(sord)
-                    sblks = scan_blks[c] = []
-                    sapp = sblks.append
-                    scan_rix0[c] = rix_t[c][mp] if mp < mlen else 0
-                    while mp < mlen:
-                        cl = mcls[mp] & 7
-                        if cl == 3:
-                            break
-                        frames = sets.get(msets[mp])
-                        if frames is None:
-                            break
-                        blk = frames.get(mbad[mp])
-                        if blk is None or blk.state is _I:
-                            break
-                        e = rend[mp]
-                        if blk.state is not _M:
-                            # Loads stay private on any valid state; the
-                            # run parks at its first store (an upgrade is
-                            # a shared op).
-                            s0 = nst[mp]
-                            fs = sord[s0] if s0 < nstores else mlen
-                            if fs < e:
-                                if fs == mp:
-                                    break
-                                sapp(blk)
-                                mp = fs
-                                break
-                        sapp(blk)
-                        mp = e
-                    scan_hi[c] = mp
-                park_mem[c] = mp
-                P = prefix_t[c]
-                pidx = mord_t[c][mp] if mp < mlen else lengths[c]
-                park_idx[c] = pidx
-                idx = indices[c]
-                park_clock[c] = clocks[c] + P[pidx] - P[idx]
-                scanned_ops += pidx - idx
-                valid[c] = True
-                seen[c] = l1_versions[c]
-
-            # -- (2) the globally next shared op (or open-end barrier) -----
-            # Exhausted open cores park at (clocks[c], c) as barriers; the
-            # ascending-core scan with a strict ``<`` reproduces the heap's
-            # (clock, core) tie-break exactly.
-            s_core = -1
-            s_clock = 0
-            s_starve = False
-            for c in cores:
-                if park_idx[c] < lengths[c]:
-                    blocked = False
-                elif open_ends is not None and open_ends[c]:
-                    blocked = True
-                else:
-                    continue
-                pc = park_clock[c]
-                if s_core < 0 or pc < s_clock:
-                    s_core = c
-                    s_clock = pc
-                    s_starve = blocked
-
-            # -- (3) retire private ops ordered before S* ------------------
-            phases += 1
-            for c in cores:
-                idx = indices[c]
-                stop = park_idx[c]
-                if idx >= stop:
-                    continue
-                clock = clocks[c]
-                P = prefix_t[c]
-                if s_core < 0 or c == s_core:
-                    # Drain (no shared op left) or same core (program
-                    # order): everything scanned retires.
-                    j = stop
-                else:
-                    # (clock, c) < (s_clock, s_core) ⇔ clock < limit.
-                    limit = s_clock + 1 if c < s_core else s_clock
-                    if clock >= limit:
-                        continue
-                    # First op whose pop clock reaches the limit; the pop
-                    # clock of op i is clock + P[i] - P[idx].
-                    j = bisect_left(P, P[idx] + limit - clock, idx, stop)
-                    if j <= idx:
-                        continue
-                mp = mpos[c]
-                me = (park_mem[c] if j >= stop
-                      else bisect_left(mord_t[c], j, mp, park_mem[c]))
-                sblks = scan_blks[c]
-                rix = rix_t[c]
-                rbase = scan_rix0[c]
-                nst = nst_t[c]
-                l1 = h.l1s[c]
-                use0 = l1._use
-                s0 = nst[mp]
-                s1 = nst[me]
-                stores = s1 - s0
-                loads = (me - mp) - stores
-                pstores = 0
-                if stores:
-                    sord = sord_t[c]
-                    sbyt = sbyt_t[c]
-                    spst = spst_t[c]
-                    mbad = mbaddr_t[c]
-                    mord = mord_t[c]
-                    for si in range(s0, s1):
-                        m = sord[si]
-                        blk = sblks[rix[m] - rbase]
-                        blk.data.bytes.update(sbyt[si])
-                        blk.dirty = True
-                        if spst[si]:
-                            # M-state-hit persisting store of a
-                            # stall_free_persists scheme: same L1 effects
-                            # as cl 2, plus the persistent flags, the
-                            # (stall-free) scheme hook, and a deferred
-                            # record pair at the op's heap position.
-                            blk.persistent = True
-                            b = mbad[m]
-                            bi = b >> llc_shift
-                            frames = llc_sets.get(
-                                bi & llc_mask if llc_mask is not None
-                                else bi % llc_nsets
-                            )
-                            lblk = (frames.get(b)
-                                    if frames is not None else None)
-                            if lblk is not None and lblk.state is not _I:
-                                lblk.persistent = True
-                            pclk = clock + P[mord[m]] - P[idx]
-                            on_pstore(c, b, blk.data, pclk + 1)
-                            priv_records.append(
-                                (pclk, c, b + soff_t[c][si], ssiz_t[c][si],
-                                 sval_t[c][si]))
-                            pstores += 1
-                # LRU: each op stamps the array use-clock in order, but
-                # only a block's *last* stamp in the window is observable
-                # — one write per run instead of one per op.
-                rend = rend_t[c]
-                m = mp
-                while m < me:
-                    e = rend[m]
-                    if e > me:
-                        e = me
-                    sblks[rix[m] - rbase].last_use = use0 + e - mp
-                    m = e
-                l1._use = use0 + (me - mp)
-                new_clock = clock + P[j] - P[idx]
-                cs = core_stats[c]
-                if loads:
-                    cs.loads += loads
-                    cs.l1_hits += loads
-                if stores:
-                    cs.stores += stores
-                    if pstores:
-                        cs.persisting_stores += pstores
-                # Loads and stores have fixed private costs, so compute
-                # cycles are the remainder of the clock advance.
-                comp = (new_clock - clock - loads * load_cost
-                        - stores * store_cost)
-                if comp:
-                    cs.compute_cycles += comp
-                clocks[c] = new_clock
-                indices[c] = j
-                mpos[c] = me
-                executed += j - idx
-
-            if s_core < 0 or s_starve:
-                # Drained — or an open-end barrier is the globally next
-                # key, so nothing more may execute until that core is fed.
-                if s_starve:
-                    starved = s_core
-                break
-
-            # -- (4) the shared op runs through the exact per-op path ------
-            i = indices[s_core]
-            op = (ops_pc[s_core][i] if ops_pc is not None
-                  else cols.op_at(s_core, i))
-            indices[s_core] = i + 1
-            mpos[s_core] = park_mem[s_core] + 1
-            shared_ops += 1
-            s_pop = park_clock[s_core]
-            pairs_before = len(committed)
-            try:
-                clock = execute(s_core, op, s_pop, result,
-                                flush_outstanding[s_core])
-                clocks[s_core] = clock
-                executed += 1
-                if persists_private and len(committed) > pairs_before:
-                    shared_tags.append((s_pop, s_core))
-            except CrashNow as crash:  # pragma: no cover - defensive: the
-                # eligibility gate excludes every built-in crash source, but
-                # a plugin scheme hook could still raise.
-                clocks[s_core] = max(clocks[s_core], s_pop)
-                result.crashed = True
-                result.crash_op = executed
-                result.crash_point = crash.point
-                if persists_private and len(committed) > pairs_before:
-                    shared_tags.append((s_pop, s_core))
-                break
-
-            # -- (5) invalidate scans the shared op may have stale-ified ---
-            valid[s_core] = False
-            if conservative:
-                for c in cores:
-                    valid[c] = False
-            else:
-                for c in cores:
-                    if valid[c] and l1_versions[c] != seen[c]:
-                        valid[c] = False
-
-        if priv_records:
-            # Records were captured out of global order (private persists
-            # are deferred): rebuild both lists in exact heap order.  Every
-            # record-producing op advances its core's clock, so the
-            # (pop clock, core) keys are unique and the sort reproduces the
-            # object interpreter's pop order — and with it the seq
-            # numbering — exactly.  Only the last committed record can lack
-            # its performed twin (defensive crash path).  Only this call's
-            # slice is rebuilt: earlier streaming windows are already in
-            # final order and their keys all precede this window's.
-            performed = result.performed_persists
-            win_committed = committed[committed_base:]
-            win_performed = performed[performed_base:]
-            npairs = len(win_performed)
-            entries = [
-                (tag[0], tag[1], rec.addr, rec.size, rec.value, j < npairs)
-                for j, (rec, tag) in enumerate(zip(win_committed, shared_tags))
-            ]
-            entries.extend(
-                (clk, cr, addr, sz, v, True)
-                for clk, cr, addr, sz, v in priv_records
-            )
-            # Keys are unique, so the bare lexicographic tuple sort never
-            # compares past (clock, core) — no key function needed.
-            entries.sort()
-            seq = seq_base
-            committed_rows = []
-            performed_rows = []
-            capp = committed_rows.append
-            papp = performed_rows.append
-            for clk, cr, addr, sz, v, paired in entries:
-                seq += 1
-                capp((cr, addr, sz, v, seq))
-                if paired:
-                    seq += 1
-                    papp((cr, addr, sz, v, seq))
-            committed[committed_base:] = map(PersistRecord._make,
-                                             committed_rows)
-            performed[performed_base:] = map(PersistRecord._make,
-                                             performed_rows)
-            self._seq = seq
-
-        # Accumulate (not assign): a streaming session spans many windows.
-        # Engine.run zeroes the counters up front, so one-shot runs read
-        # the same values as before.
-        counters["phases"] += phases
-        counters["private_ops"] += executed - shared_ops
-        counters["shared_ops"] += shared_ops
-        counters["rescans"] += rescans
-        counters["scanned_ops"] += scanned_ops
-        return executed, starved
 
     # ------------------------------------------------------------------
     # Per-op execution
@@ -1041,11 +512,8 @@ class EngineStream:
     fed — per-request latency falls out of ``clock(core)`` with no per-op
     completion callbacks (:mod:`repro.serve` builds on this).
 
-    Eligible sessions (TSO, no crash schedule, no fault injection, no
-    execution log, ``mode != "object"``) run each pump through the
-    batched columnar interpreter with the buffered queues as an
-    *open-ended* window (`_run_columnar` ``open_ends``); everything else
-    takes the per-op object path.  Both paths produce identical results.
+    Every op runs through :meth:`Engine._execute`, the same per-op path
+    as :meth:`Engine.run`.
     """
 
     def __init__(self, engine: Engine) -> None:
@@ -1063,15 +531,6 @@ class EngineStream:
         schedule = engine.hierarchy.crash_schedule
         self._schedule = schedule
         self._schedule_on = schedule.enabled
-        for key in engine.batch_counters:
-            engine.batch_counters[key] = 0
-        self._batched = (
-            engine.mode != "object"
-            and engine._tso
-            and not self._schedule_on
-            and not engine._log_enabled
-            and not engine.hierarchy.fault_injector.enabled
-        )
 
     # -- ingestion -----------------------------------------------------
     def clock(self, core: int) -> int:
@@ -1086,17 +545,7 @@ class EngineStream:
         if self._ended[core]:
             raise ValueError(f"core {core} already ended")
         self._idle[core] = False
-        pend = self._pending[core]
-        if self._batched:
-            for op in ops:
-                if not _fits(op):
-                    # Out-of-range fields poison the fixed-width columns:
-                    # fall back to the object path for the session's
-                    # remainder (results are identical either way).
-                    self._batched = False
-                pend.append(op)
-        else:
-            pend.extend(ops)
+        self._pending[core].extend(ops)
 
     def end(self, core: int) -> None:
         """Declare ``core``'s stream complete; it stops blocking pumps
@@ -1130,13 +579,7 @@ class EngineStream:
             raise RuntimeError("stream already finished")
         if self.result.crashed:
             return None
-        if self._batched:
-            return self._pump_columnar()
-        return self._pump_object()
-
-    def _pump_object(self) -> Optional[int]:
-        engine = self.engine
-        execute = engine._execute
+        execute = self.engine._execute
         result = self.result
         clocks = self.clocks
         pending = self._pending
@@ -1182,53 +625,6 @@ class EngineStream:
                 result.crash_op = self.executed
                 result.crash_point = crash.point
                 return None
-
-    def _pump_columnar(self) -> Optional[int]:
-        engine = self.engine
-        pending = self._pending
-        clocks = self.clocks
-        n = self.num_cores
-        if not any(pending):
-            # Nothing buffered anywhere: starvation is decided by the same
-            # (clock, core) scan, with no window to build.
-            best = -1
-            for c in range(n):
-                if self._ended[c] or self._idle[c]:
-                    continue
-                if best < 0 or clocks[c] < clocks[best]:
-                    best = c
-            return best if best >= 0 else None
-        window_ops: List[List[TraceOp]] = []
-        threads: List[ThreadColumns] = []
-        for c in range(n):
-            ops = list(pending[c])
-            window_ops.append(ops)
-            threads.append(ThreadColumns(
-                [KIND_TO_CODE[op.kind] for op in ops],
-                [op.addr for op in ops],
-                [op.size for op in ops],
-                [op.value for op in ops],
-                [op.cycles for op in ops],
-            ))
-        cols = ColumnarTrace(threads)
-        # Shared-op dispatch pulls TraceOp objects; hand it the originals
-        # instead of round-tripping through op_at.
-        cols._program = ProgramTrace([ThreadTrace(ops) for ops in window_ops])
-        open_ends = [not self._ended[c] and not self._idle[c]
-                     for c in range(n)]
-        indices = [0] * n
-        executed, starved = engine._run_columnar(
-            cols, self.result, clocks, indices, self.flush_outstanding,
-            open_ends=open_ends,
-        )
-        self.executed += executed
-        for c in range(n):
-            pend = pending[c]
-            for _ in range(indices[c]):
-                pend.popleft()
-        if self.result.crashed:  # pragma: no cover - plugin hooks only
-            return None
-        return starved
 
     # -- completion ----------------------------------------------------
     def finish(self, finalize: bool = True) -> RunResult:

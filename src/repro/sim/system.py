@@ -26,14 +26,15 @@ from repro.fault.injector import NULL_INJECTOR
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.bus import NULL_BUS, EventBus
 from repro.sim.config import SystemConfig
-from repro.sim.engine import ENGINE_MODES, Engine, EngineStream, RunResult
+from repro.sim.engine import Engine, EngineStream, RunResult
 from repro.sim.stats import SimStats
 from repro.sim.trace import ProgramTrace
 
-#: Modes accepted by :class:`System`: the engine's interpreter modes plus
-#: ``"analytical"`` (closed-form estimate, no discrete simulation —
-#: :mod:`repro.analysis.analytical`).
-SYSTEM_MODES = ENGINE_MODES + ("analytical",)
+#: Modes accepted by :class:`System`.  ``auto`` (the default) and
+#: ``object`` both run the discrete engine; ``analytical`` is the
+#: closed-form estimate with no discrete simulation
+#: (:mod:`repro.analysis.analytical`).
+SYSTEM_MODES = ("auto", "object", "analytical")
 
 
 class System:
@@ -68,9 +69,7 @@ class System:
         self.hierarchy = MemoryHierarchy(self.config, self.scheme, self.stats,
                                          bus=bus, fault_injector=fault_injector,
                                          crash_schedule=crash_schedule)
-        engine_mode = mode if mode in ENGINE_MODES else "auto"
-        self.engine = Engine(self.hierarchy, reorder_seed=reorder_seed,
-                             mode=engine_mode)
+        self.engine = Engine(self.hierarchy, reorder_seed=reorder_seed)
 
     def run(
         self,

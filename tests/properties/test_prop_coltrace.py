@@ -4,6 +4,9 @@ overflow the fixed-width columns and sub-word / overflowing store
 payloads — must round-trip losslessly, and the precomputed store-byte
 dicts must match byte-interpreted writes exactly."""
 
+import gc
+import weakref
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +78,21 @@ def test_columnar_of_memoizes_and_roundtrips_identity():
     assert columnar_of(trace) is cols
     assert program_of(cols) is trace
     assert program_of(trace) is trace
+
+
+def test_columnar_of_frees_converted_traces():
+    """The memo must not keep a trace alive: once the last outside
+    reference to a converted ``ProgramTrace`` dies, the trace is collected
+    (and with it its weak-keyed cache entry)."""
+    trace = ProgramTrace.single([TraceOp.store(0, 1), TraceOp.load(64)])
+    cols = columnar_of(trace)
+    alive = weakref.ref(trace)
+    del trace
+    gc.collect()
+    assert alive() is None
+    # The columnar form outlives its source and still converts back.
+    assert [op.kind for op in cols.to_program().threads[0]] == [
+        OpKind.STORE, OpKind.LOAD]
 
 
 @given(st.lists(st.tuples(st.integers(0, 56), values, sizes), max_size=30))

@@ -1,20 +1,28 @@
-"""Golden-fingerprint equivalence: the batched columnar interpreter must
-produce bit-identical ``SimStats`` (and persist records) to the object-mode
-engine for every registered scheme x benchmark workload, and the
-analytical mode must stay inside its declared tolerance band."""
+"""Golden-fingerprint equivalence: a ``ColumnarTrace`` must run to
+bit-identical ``SimStats`` (and persist records) as its ``ProgramTrace``
+for every registered scheme x benchmark workload, and the analytical mode
+must reproduce the discrete op counts."""
+
+import runpy
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.bench import fingerprint_run
 from repro.analysis.experiments import default_sim_config
 from repro.api import RunOptions, build_system
-from repro.core.registry import CONTRACT_EPOCH, iter_schemes
+from repro.core.registry import (CONTRACT_EPOCH, iter_schemes, scheme_info,
+                                  unregister_scheme)
+from repro.sim.coltrace import ColumnarTrace
 from repro.sim.trace import with_epochs
 from repro.workloads.base import (WORKLOAD_NAMES, WorkloadSpec, build_cached,
                                   seed_media_words)
 
 SPEC = WorkloadSpec(threads=2, ops=25, elements=512, seed=13)
 SCHEMES = [info for info in iter_schemes() if info.builtin]
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+#: Registered by ``examples/custom_scheme.py`` (see ``plugin_scheme``).
+PLUGIN_SCHEME = "bbb-nocoalesce"
 
 
 def _run(info, trace, initial_words, mode):
@@ -26,30 +34,35 @@ def _run(info, trace, initial_words, mode):
     return system, result
 
 
-@pytest.mark.parametrize("info", SCHEMES, ids=lambda i: i.name)
+@pytest.fixture
+def plugin_scheme():
+    """Register the out-of-tree scheme of ``examples/custom_scheme.py`` for
+    one test, then remove it again."""
+    module = runpy.run_path(str(EXAMPLES / "custom_scheme.py"))
+    yield scheme_info(module["SCHEME_NAME"])
+    unregister_scheme(module["SCHEME_NAME"])
+
+
+@pytest.mark.parametrize(
+    "scheme", [info.name for info in SCHEMES] + [PLUGIN_SCHEME])
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
-def test_columnar_matches_object_mode(info, workload):
+def test_columnar_matches_object_mode(scheme, workload, request):
+    """A ``ColumnarTrace`` input (the batch runner's shared-memory form)
+    runs bit-identically to the ``ProgramTrace`` it was converted from,
+    for every registered scheme — the out-of-tree example included."""
+    info = (request.getfixturevalue("plugin_scheme")
+            if scheme == PLUGIN_SCHEME else scheme_info(scheme))
     cfg = default_sim_config()
     trace, initial_words = build_cached(workload, cfg.mem, SPEC)
     if info.contract == CONTRACT_EPOCH:
         trace = with_epochs(trace, every_n_stores=8)
-    _, obj = _run(info, trace, initial_words, "object")
-    _, col = _run(info, trace, initial_words, "columnar")
+    # A fresh conversion, not the memoized columnar_of: that one's
+    # to_program hands back the source trace itself, so the ops would
+    # never be rebuilt from the columns.
+    cols = ColumnarTrace.from_program(trace)
+    _, obj = _run(info, trace, initial_words, "auto")
+    _, col = _run(info, cols, initial_words, "auto")
     assert fingerprint_run(obj) == fingerprint_run(col)
-
-
-def test_batched_path_actually_engages():
-    """At least one TSO run must take the batched fast path — otherwise the
-    equivalence above is vacuously comparing object mode with itself."""
-    cfg = default_sim_config()
-    trace, initial_words = build_cached("hashmap", cfg.mem, SPEC)
-    engaged = []
-    for info in SCHEMES:
-        t = (with_epochs(trace, every_n_stores=8)
-             if info.contract == CONTRACT_EPOCH else trace)
-        system, _ = _run(info, t, initial_words, "columnar")
-        engaged.append(system.engine.batch_counters["phases"] > 0)
-    assert any(engaged)
 
 
 @pytest.mark.parametrize(

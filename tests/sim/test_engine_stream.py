@@ -4,10 +4,13 @@ Feeding a workload's per-thread op streams incrementally through
 ``System.run_stream`` (chunked pulls on engine backpressure) must produce
 bit-identical ``SimStats`` and persist records to materializing the same
 ops into a ``ProgramTrace`` and calling ``System.run`` — for every
-registered builtin scheme, across chunk sizes, in both interpreter modes,
-and under relaxed consistency.  The manual-session tests pin the
-``EngineStream`` protocol itself (starve/feed/advance/idle/end).
+registered builtin scheme, across chunk sizes, in both engine modes, with
+op fields too wide for the columnar form, and under relaxed consistency.
+The manual-session tests pin the ``EngineStream`` protocol itself
+(starve/feed/advance/idle/end).
 """
+
+import dataclasses
 
 import pytest
 
@@ -16,12 +19,16 @@ from repro.analysis.experiments import default_sim_config
 from repro.api import RunOptions, build_system
 from repro.core.registry import BBB, CONTRACT_EPOCH, iter_schemes
 from repro.sim.config import ConsistencyModel
-from repro.sim.trace import TraceOp, with_epochs
+from repro.sim.trace import (OpKind, ProgramTrace, ThreadTrace, TraceOp,
+                              with_epochs)
 from repro.workloads.base import (WorkloadSpec, build_cached,
                                   seed_media_words)
 
 SPEC = WorkloadSpec(threads=2, ops=25, elements=512, seed=13)
 SCHEMES = [info for info in iter_schemes() if info.builtin]
+#: Pseudo-workload: hashmap with out-of-range store values.
+WIDE = "hashmap-wide"
+WIDE_BIT = 1 << 64
 
 
 def _system(info, mode="auto", config=None):
@@ -30,9 +37,24 @@ def _system(info, mode="auto", config=None):
                         options=RunOptions(mode=mode), **kwargs)
 
 
+def _widened(trace):
+    """``trace`` with every store value pushed past 64 bits — fields that
+    do not fit the fixed-width trace columns."""
+    return ProgramTrace([
+        ThreadTrace(dataclasses.replace(op, value=op.value | WIDE_BIT)
+                    if op.kind is OpKind.STORE else op
+                    for op in thread.ops)
+        for thread in trace.threads
+    ])
+
+
 def _prepared(info, workload, config=None):
     cfg = config or default_sim_config()
-    trace, initial_words = build_cached(workload, cfg.mem, SPEC)
+    if workload == WIDE:
+        trace, initial_words = build_cached("hashmap", cfg.mem, SPEC)
+        trace = _widened(trace)
+    else:
+        trace, initial_words = build_cached(workload, cfg.mem, SPEC)
     if info.contract == CONTRACT_EPOCH:
         trace = with_epochs(trace, every_n_stores=8)
     return trace, initial_words
@@ -53,7 +75,7 @@ def _run_streamed(info, trace, initial_words, mode="auto", chunk=7,
 
 
 @pytest.mark.parametrize("info", SCHEMES, ids=lambda i: i.name)
-@pytest.mark.parametrize("workload", ["hashmap", "mutateC"])
+@pytest.mark.parametrize("workload", ["hashmap", "mutateC", WIDE])
 def test_streamed_matches_materialized(info, workload):
     trace, words = _prepared(info, workload)
     ref = _run_materialized(info, trace, words)
@@ -71,7 +93,7 @@ def test_chunk_size_is_invisible(chunk):
     assert fingerprint_run(ref) == fingerprint_run(streamed)
 
 
-@pytest.mark.parametrize("mode", ["object", "columnar"])
+@pytest.mark.parametrize("mode", ["object", "auto"])
 def test_streamed_interpreter_modes_agree(mode):
     info = next(i for i in SCHEMES if i.name == BBB)
     trace, words = _prepared(info, "hashmap")
@@ -80,23 +102,7 @@ def test_streamed_interpreter_modes_agree(mode):
     assert fingerprint_run(ref) == fingerprint_run(streamed)
 
 
-def test_streamed_batched_path_engages():
-    """The columnar stream pump must actually take the batched path for
-    at least one scheme, or the mode test above is vacuous."""
-    engaged = []
-    for info in SCHEMES:
-        trace, words = _prepared(info, "hashmap")
-        system = _system(info, "columnar")
-        seed_media_words(system.nvmm_media, words)
-        system.run_stream([iter(t.ops) for t in trace.threads],
-                          finalize=False)
-        engaged.append(system.engine.batch_counters["phases"] > 0)
-    assert any(engaged)
-
-
 def test_streamed_relaxed_consistency():
-    import dataclasses
-
     info = next(i for i in SCHEMES if i.name == BBB)
     cfg = dataclasses.replace(default_sim_config(),
                               consistency=ConsistencyModel.RELAXED)

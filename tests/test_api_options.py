@@ -36,8 +36,10 @@ def test_run_options_is_frozen_and_replace_derives():
 
 
 def test_run_options_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        RunOptions(mode="warp")
+    # "columnar" named the batched interpreter, which no longer exists.
+    for mode in ("warp", "columnar"):
+        with pytest.raises(ValueError, match="mode"):
+            RunOptions(mode=mode)
 
 
 def test_legacy_kwargs_warn_and_still_work():
