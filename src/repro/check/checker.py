@@ -1,14 +1,18 @@
 """Exhaustive crash-state exploration with differential oracles.
 
 The model checker turns the crash-schedule hooks
-(:mod:`repro.check.schedule`) into a systematic search: a *counting run*
+(:mod:`repro.check.schedule`) into a systematic search through the
+crash-exploration kernel (:mod:`repro.check.kernel`): a *counting run*
 executes a workload once with an unbounded schedule to learn how many
-micro-step crash points ``T`` the run reaches, then every point ``k`` in
-``1..T`` is re-executed on a fresh system with ``stop_at=k``.  Determinism
-of the simulator guarantees visit ``k`` is the same machine state every
-run, so the enumeration is exhaustive over the modelled micro-steps
-(mid-drain, the L1D-visible/bbPB-allocated window, the coherence
-forced-drain channel, WPQ acceptance, and every op boundary).
+micro-step crash points ``T`` the run reaches, then a *master run* walks
+the trace once more and, for every point ``k`` in ``1..T``, copies the
+machine at the op boundary before ``k`` and crashes the copy at ``k``
+(points in a short prefix are replayed on a fresh system with
+``stop_at=k`` instead, which is cheaper there).  Determinism of the
+simulator guarantees visit ``k`` is the same machine state either way, so
+the enumeration is exhaustive over the modelled micro-steps (mid-drain,
+the L1D-visible/bbPB-allocated window, the coherence forced-drain
+channel, WPQ acceptance, and every op boundary).
 
 Each recovered durable image is checked against three oracles:
 
@@ -38,6 +42,13 @@ import random
 from dataclasses import asdict, astuple, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.check.kernel import (
+    CrashRun,
+    KernelStats,
+    PointProfile,
+    count_points,
+    crash_runs,
+)
 from repro.check.schedule import CrashSchedule
 from repro.core.recovery import (
     CONTRACT_DOCS,
@@ -45,7 +56,12 @@ from repro.core.recovery import (
     claimed_persists,
 )
 from repro.core.registry import CONTRACT_EPOCH, DEFAULT_SCHEME, scheme_info
-from repro.mem.block import BlockData, block_address, block_offset
+from repro.mem.block import (
+    BlockData,
+    block_address,
+    block_digest_bytes,
+    block_offset,
+)
 from repro.obs.bus import NULL_BUS
 from repro.obs.events import CheckStateExplored, CheckViolation
 
@@ -115,6 +131,12 @@ class PointVerdict:
     violations: Tuple[str, ...]
     fingerprint: str
     pruned: bool
+    #: Forked from the kernel's master pass (else replayed on a fresh
+    #: system, see :mod:`repro.check.kernel`).
+    forked: bool = False
+    #: Why the kernel could not fork this unit's machine, when it fell
+    #: back to replay.
+    fallback: Optional[str] = None
 
 
 class _UnitContext:
@@ -207,18 +229,16 @@ def diff_golden(
             continue
         exp = expected.get(baddr)
         act = media.peek_block(baddr)
-        offsets = set(act.bytes)
-        if exp is not None:
-            offsets.update(exp.bytes)
-        for off in sorted(offsets):
+        # Unwritten bytes read as 0 on both sides, so the lowest differing
+        # byte of the packed values is the first mismatching offset.
+        diff = act.val ^ (exp.val if exp is not None else 0)
+        if diff:
+            off = ((diff & -diff).bit_length() - 1) >> 3
             want = exp.read(off) if exp is not None else 0
-            got = act.read(off)
-            if want != got:
-                violations.append(
-                    f"golden mismatch at 0x{baddr + off:x}: eADR-golden "
-                    f"byte 0x{want:02x}, durable byte 0x{got:02x}"
-                )
-                break  # one per block
+            violations.append(
+                f"golden mismatch at 0x{baddr + off:x}: eADR-golden "
+                f"byte 0x{want:02x}, durable byte 0x{act.read(off):02x}"
+            )  # one per block
         if len(violations) >= max_violations:
             break
     return violations
@@ -231,11 +251,9 @@ def durable_fingerprint(scheme: str, media, committed, performed) -> str:
     h = hashlib.sha256()
     h.update(scheme.encode())
     for baddr in sorted(media.written_blocks()):
-        data = media.peek_block(baddr)
         h.update(b"B")
         h.update(baddr.to_bytes(8, "little"))
-        for off in sorted(data.bytes):
-            h.update(bytes((off, data.bytes[off])))
+        h.update(block_digest_bytes(media.peek_block(baddr)))
     for tag, records in ((b"|c", committed), (b"|p", performed)):
         h.update(tag)
         for rec in records:
@@ -249,34 +267,26 @@ def durable_fingerprint(scheme: str, media, committed, performed) -> str:
 # Exploration
 # ----------------------------------------------------------------------
 
+def _profile(ctx: _UnitContext) -> PointProfile:
+    return count_points(ctx.build_system, ctx.trace, ctx.unit.sites)
+
+
 def count_micro_points(unit: CheckUnit) -> Tuple[int, Dict[str, int]]:
     """Counting run: execute the unit's workload once under an unbounded
     schedule and return ``(total visits, per-site visit counts)``."""
-    ctx = _UnitContext(unit)
-    schedule = CrashSchedule(stop_at=None, sites=unit.sites)
-    system = ctx.build_system(schedule)
-    result = system.run(ctx.trace)
-    if result.crashed:
-        raise RuntimeError(
-            "counting run crashed — an unbounded CrashSchedule must never fire"
-        )
-    return schedule.visits, dict(schedule.site_counts)
+    profile = _profile(_UnitContext(unit))
+    return profile.total, profile.site_counts
 
 
-def _check_point(
+def _verdict(
     unit: CheckUnit,
     ctx: _UnitContext,
-    k: int,
+    run: CrashRun,
     cache: Optional[Dict[str, Tuple[bool, Tuple[str, ...]]]],
+    fallback: Optional[str],
 ) -> PointVerdict:
-    schedule = CrashSchedule(stop_at=k, sites=unit.sites)
-    system = ctx.build_system(schedule)
-    result = system.run(ctx.trace)
-    if not result.crashed or result.crash_point is None:
-        raise RuntimeError(
-            f"{unit.describe()}: point {k} did not fire — the counting run "
-            f"reached it, so the simulator is not deterministic"
-        )
+    """Judge one crashed machine against the unit's oracles."""
+    system, result = run.system, run.result
     point = result.crash_point
     media = system.nvmm_media
     claimed = claimed_persists(unit.scheme, result)
@@ -284,13 +294,17 @@ def _check_point(
         unit.scheme, media, result.committed_persists, result.performed_persists
     )
 
+    def verdict(consistent: bool, violations: Tuple[str, ...],
+                pruned: bool) -> PointVerdict:
+        return PointVerdict(
+            run.point, point.site, result.crash_op or 0, point.cycle,
+            consistent, violations, fp, pruned=pruned, forked=run.forked,
+            fallback=None if run.forked else fallback,
+        )
+
     hit = cache.get(fp) if cache is not None else None
     if hit is not None:
-        consistent, violations = hit
-        return PointVerdict(
-            k, point.site, result.crash_op or 0, point.cycle,
-            consistent, violations, fp, pruned=True,
-        )
+        return verdict(*hit, pruned=True)
 
     violations: List[str] = []
     info = scheme_info(unit.scheme)
@@ -311,14 +325,26 @@ def _check_point(
         if not ok:
             violations.extend(struct_violations[:MAX_VIOLATIONS_PER_POINT])
 
-    verdict = PointVerdict(
-        k, point.site, result.crash_op or 0, point.cycle,
-        not violations, tuple(violations[:MAX_VIOLATIONS_PER_POINT]), fp,
-        pruned=False,
-    )
+    judged = verdict(not violations,
+                     tuple(violations[:MAX_VIOLATIONS_PER_POINT]), pruned=False)
     if cache is not None:
-        cache[fp] = (verdict.consistent, verdict.violations)
-    return verdict
+        cache[fp] = (judged.consistent, judged.violations)
+    return judged
+
+
+def _check_points(
+    unit: CheckUnit,
+    ctx: _UnitContext,
+    profile: PointProfile,
+    points: Sequence[int],
+) -> List[PointVerdict]:
+    cache: Optional[Dict] = {} if unit.prune else None
+    stats = KernelStats()
+    return [
+        _verdict(unit, ctx, run, cache, stats.fallback)
+        for run in crash_runs(ctx.build_system, ctx.trace, points, profile,
+                              unit.sites, stats)
+    ]
 
 
 def check_unit_points(unit: CheckUnit, points: Sequence[int]) -> List[PointVerdict]:
@@ -327,17 +353,18 @@ def check_unit_points(unit: CheckUnit, points: Sequence[int]) -> List[PointVerdi
     across processes.  The fingerprint cache is per-shard: parallel runs
     may prune less than a serial run, but verdicts are identical."""
     ctx = _UnitContext(unit)
-    cache: Optional[Dict] = {} if unit.prune else None
-    return [_check_point(unit, ctx, k, cache) for k in points]
+    return _check_points(unit, ctx, _profile(ctx), points)
 
 
 def explore(unit: CheckUnit) -> Tuple[List[PointVerdict], int, Dict[str, int]]:
     """Serial in-process exploration of every reachable crash point.
     Returns ``(verdicts, total_points, site_counts)`` — the test-friendly
     core that :func:`run_check_unit` wraps with sharding and reporting."""
-    total, site_counts = count_micro_points(unit)
-    points = _select_points(unit, total)
-    return check_unit_points(unit, points), total, site_counts
+    ctx = _UnitContext(unit)
+    profile = _profile(ctx)
+    points = _select_points(unit, profile.total)
+    verdicts = _check_points(unit, ctx, profile, points)
+    return verdicts, profile.total, profile.site_counts
 
 
 def _select_points(unit: CheckUnit, total: int) -> List[int]:
@@ -389,6 +416,9 @@ def build_report(
         "explored": sum(1 for v in verdicts if not v.pruned),
         "pruned": sum(1 for v in verdicts if v.pruned),
         "unique_states": len({v.fingerprint for v in verdicts}),
+        "points_forked": sum(1 for v in verdicts if v.forked),
+        "points_replayed": sum(1 for v in verdicts if not v.forked),
+        "fallback": next((v.fallback for v in verdicts if v.fallback), None),
         "num_violations": len(bad),
         "consistent": not bad,
         "violations": [asdict(v) for v in bad[:MAX_VIOLATIONS_PER_REPORT]],
@@ -436,6 +466,21 @@ def publish_report(report: Dict[str, Any], bus=NULL_BUS, registry=None):
         "check.points_pruned",
         "crash points whose verdict was reused from an equal fingerprint",
     ).inc(report["pruned"])
+    reg.counter(
+        "check.points_forked",
+        "crash points forked from the kernel's master pass",
+    ).inc(report["points_forked"])
+    reg.counter(
+        "check.points_replayed",
+        "crash points replayed on a freshly built system",
+    ).inc(report["points_replayed"])
+    if report["fallback"]:
+        reg.counter_family(
+            "check.fallback",
+            "units whose machine the kernel could not snapshot, by reason "
+            "(their points were replayed)",
+            label="reason",
+        ).labels(report["fallback"]).inc()
     reg.counter(
         "check.violations", "crash points violating an oracle",
     ).inc(report["num_violations"])

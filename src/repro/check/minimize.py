@@ -25,6 +25,7 @@ re-check, and report whether the violation reproduces.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.checker import (
@@ -34,7 +35,7 @@ from repro.check.checker import (
     diff_golden,
     golden_expected,
 )
-from repro.check.schedule import CrashSchedule
+from repro.check.kernel import CrashRun, count_points, crash_runs
 from repro.core.recovery import check_scheme_contract, claimed_persists
 from repro.core.registry import scheme_info
 from repro.ioutil import atomic_write_json
@@ -112,22 +113,27 @@ def _build_seeded_system(unit: CheckUnit, config, seed_words, schedule):
     return system
 
 
-def _point_violations(unit, config, seed_words, trace, k):
-    """Crash ``trace`` at micro-step ``k``; return (site, violations)."""
-    schedule = CrashSchedule(stop_at=k, sites=unit.sites)
-    system = _build_seeded_system(unit, config, seed_words, schedule)
-    result = system.run(trace)
-    if not result.crashed or result.crash_point is None:
-        raise RuntimeError(f"minimization replay: point {k} did not fire")
-    media = system.nvmm_media
-    claimed = claimed_persists(unit.scheme, result)
+def _point_violations(unit, config, seed_words, run: CrashRun):
+    """Judge a crashed run with the minimization oracles; returns
+    ``(site, violations)``."""
+    media = run.system.nvmm_media
+    claimed = claimed_persists(unit.scheme, run.result)
     violations = list(check_scheme_contract(unit.scheme, media, claimed).violations)
     if scheme_info(unit.scheme).exact_durability:
         violations.extend(diff_golden(
             media, golden_expected(seed_words, claimed),
             config.mem.is_persistent,
         ))
-    return result.crash_point.site, violations
+    return run.result.crash_point.site, violations
+
+
+def _crash_runs(unit, config, seed_words, trace, points=None):
+    """Crashed runs of ``trace`` at ``points`` (default: every point)."""
+    build = partial(_build_seeded_system, unit, config, seed_words)
+    profile = count_points(build, trace, unit.sites)
+    if points is None:
+        points = range(1, profile.total + 1)
+    return crash_runs(build, trace, points, profile, unit.sites)
 
 
 def first_failing_point(
@@ -135,13 +141,10 @@ def first_failing_point(
 ) -> Optional[Tuple[int, str, Tuple[str, ...]]]:
     """Exhaustive micro-step scan of ``trace``, stopping at the first
     violating crash point.  ``None`` when every point is consistent."""
-    counting = CrashSchedule(stop_at=None, sites=unit.sites)
-    system = _build_seeded_system(unit, config, seed_words, counting)
-    system.run(trace)
-    for k in range(1, counting.visits + 1):
-        site, violations = _point_violations(unit, config, seed_words, trace, k)
+    for run in _crash_runs(unit, config, seed_words, trace):
+        site, violations = _point_violations(unit, config, seed_words, run)
         if violations:
-            return k, site, tuple(violations)
+            return run.point, site, tuple(violations)
     return None
 
 
@@ -307,9 +310,9 @@ def replay_artifact(path: str, config=None) -> Dict[str, Any]:
         for rec in artifact["ops"]
     ]
     trace = rebuild_trace(ops, artifact["num_threads"])
-    site, violations = _point_violations(
-        unit, cfg, seed_words, trace, artifact["crash_point"]
-    )
+    run = next(_crash_runs(unit, cfg, seed_words, trace,
+                           [artifact["crash_point"]]))
+    site, violations = _point_violations(unit, cfg, seed_words, run)
     return {
         "reproduced": bool(violations),
         "site": site,

@@ -15,10 +15,13 @@ A :class:`CrashSchedule` is threaded through the system (``build_system(
 volatile-state loss) exactly as if power failed at that micro-step.
 
 Because the simulator is deterministic, visit ``k`` denotes the same
-machine state on every run of the same (config, scheme, trace).  The model
-checker therefore enumerates the crash-state space exhaustively by running
-the trace once in *counting* mode (``stop_at=None``) to learn the total
-number of visits ``T``, then re-running with ``stop_at=1..T``.
+machine state on every run of the same (config, scheme, trace).  The
+crash-exploration kernel (:mod:`repro.check.kernel`) therefore enumerates
+the crash-state space exhaustively: it runs the trace once in *counting*
+mode (``stop_at=None``) to learn the total number of visits ``T`` and the
+visit count at every op boundary, then walks the trace once more and, for
+each ``k`` in ``1..T``, sets ``stop_at=k`` on a copy of the machine taken
+at the op boundary before visit ``k``.
 
 This module is intentionally dependency-free (no imports from the rest of
 ``repro``): the hot simulator modules import it, so it must sit below all

@@ -764,6 +764,10 @@ def cmd_check(args) -> int:
             ("explored", report["explored"]),
             ("pruned", report["pruned"]),
             ("unique durable states", report["unique_states"]),
+            ("forked / replayed",
+             f"{report['points_forked']} / {report['points_replayed']}"),
+            *([("replay fallback", report["fallback"])]
+              if report["fallback"] else []),
             ("violations", report["num_violations"]),
         ],
         title=f"crash check: {unit.describe()}",

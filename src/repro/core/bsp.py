@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.bbpb import ProcessorSideBBPB
+from repro.core.drain import WpqDrain
 from repro.core.persistency import DrainReport, PersistencyScheme, SchemeTraits
 from repro.mem.block import BlockData, CacheBlock
 from repro.obs.events import STALL_BBPB_FULL, StallBegin, StallEnd
@@ -57,22 +58,10 @@ class BSP(PersistencyScheme):
             proc_coalesce_consecutive=True,
         )
         self.buffers = [
-            ProcessorSideBBPB(cfg, core, self._make_drain_fn(core),
+            ProcessorSideBBPB(cfg, core, WpqDrain(hierarchy, core),
                               bus=hierarchy.bus)
             for core in range(hierarchy.config.num_cores)
         ]
-
-    def _make_drain_fn(self, core: int):
-        def drain(block_addr: int, data: BlockData, now: int) -> int:
-            h = self.hierarchy
-            assert h is not None
-            h.stats.bbpb_drains += 1
-            h.stats.bbpb_per_core[core] += 1
-            return h.nvmm.write(
-                block_addr, data, now + h.config.mem.mc_transfer_cycles
-            )
-
-        return drain
 
     # ------------------------------------------------------------------
     # Introspection (shared with the bbPB-based schemes)

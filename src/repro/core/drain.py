@@ -27,25 +27,58 @@ from repro.sim.config import BBBConfig, DrainPolicy
 _DrainFn = Callable[[int, BlockData, int], int]
 
 
-def crash_scheduled_drain(drain: _DrainFn, schedule) -> _DrainFn:
-    """Wrap a bbPB drain sink with the model checker's mid-drain crash
-    point (:data:`~repro.check.schedule.SITE_DRAIN`).
+class WpqDrain:
+    """A bbPB drain sink: ``core``'s entries go to the NVMM WPQ.
+
+    A small callable object rather than a closure, so copying a machine
+    (the crash-exploration kernel's snapshot) copies the sink together
+    with the hierarchy it writes into.
+    """
+
+    __slots__ = ("hierarchy", "core")
+
+    def __init__(self, hierarchy, core: int) -> None:
+        self.hierarchy = hierarchy
+        self.core = core
+
+    def __call__(self, block_addr: int, data: BlockData, now: int) -> int:
+        h = self.hierarchy
+        h.stats.bbpb_drains += 1
+        h.stats.bbpb_per_core[self.core] += 1
+        return h.nvmm.write(
+            block_addr, data, now + h.config.mem.mc_transfer_cycles
+        )
+
+
+class ScheduledDrain:
+    """A drain sink wrapped with the model checker's mid-drain crash point
+    (:data:`~repro.check.schedule.SITE_DRAIN`).
 
     The hook fires *before* the WPQ write: the entry has left the buffer
     and its packet is in flight, which is exactly the window the bbPB's
     crash-atomicity (entry reinstatement in
     :meth:`repro.core.bbpb.MemorySideBBPB._start_drain`) must cover.
-    Returns ``drain`` unchanged when the schedule is disabled — the
-    NULL-object zero-cost rule.
     """
+
+    __slots__ = ("drain", "schedule")
+
+    def __init__(self, drain: _DrainFn, schedule) -> None:
+        self.drain = drain
+        self.schedule = schedule
+
+    def __call__(self, block_addr: int, data: BlockData, now: int) -> int:
+        self.schedule.reached(SITE_DRAIN, now, block_addr)
+        return self.drain(block_addr, data, now)
+
+
+def crash_scheduled_drain(drain: _DrainFn, schedule) -> _DrainFn:
+    """``drain`` behind a :class:`ScheduledDrain` hook, or ``drain``
+    unchanged when the schedule is disabled — the NULL-object zero-cost
+    rule."""
     if not schedule.enabled:
         return drain
+    return ScheduledDrain(drain, schedule)
 
-    def hooked(block_addr: int, data: BlockData, now: int) -> int:
-        schedule.reached(SITE_DRAIN, now, block_addr)
-        return drain(block_addr, data, now)
-
-    return hooked
 
 #: Human-readable rationale per policy, used in reports.
 POLICY_DESCRIPTIONS: Dict[DrainPolicy, str] = {

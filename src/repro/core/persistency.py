@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.bbpb import MemorySideBBPB, ProcessorSideBBPB
-from repro.core.drain import crash_scheduled_drain
+from repro.core.drain import WpqDrain, crash_scheduled_drain
 from repro.mem.block import BlockData, CacheBlock
 from repro.obs.events import (
     STALL_BBPB_FULL,
@@ -321,7 +321,7 @@ class BBBScheme(PersistencyScheme):
         self.buffers = [
             buffer_cls(
                 cfg, core,
-                crash_scheduled_drain(self._make_drain_fn(core), schedule),
+                crash_scheduled_drain(WpqDrain(hierarchy, core), schedule),
                 bus=hierarchy.bus,
             )
             for core in range(hierarchy.config.num_cores)
@@ -331,19 +331,6 @@ class BBBScheme(PersistencyScheme):
     def bbb_config(self) -> BBBConfig:
         assert self._bbb_config is not None
         return self._bbb_config
-
-    def _make_drain_fn(self, core: int):
-        def drain(block_addr: int, data: BlockData, now: int) -> int:
-            assert self.hierarchy is not None
-            h = self.hierarchy
-            h.stats.bbpb_drains += 1
-            h.stats.bbpb_per_core[core] += 1
-            accept = h.nvmm.write(
-                block_addr, data, now + h.config.mem.mc_transfer_cycles
-            )
-            return accept
-
-        return drain
 
     # -- introspection ---------------------------------------------------
     def bbpb_for(self, core: int):

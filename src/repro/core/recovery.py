@@ -99,13 +99,14 @@ def check_exact_durability(
     violations: List[str] = []
     for baddr, exp in expected.items():
         got = media.peek_block(baddr)
-        for off in exp.bytes:
-            if got.read(off) != exp.read(off):
-                violations.append(
-                    f"block 0x{baddr:x}+{off}: durable={got.read(off):#x} "
-                    f"expected={exp.read(off):#x}"
-                )
-                break
+        diff = (got.val ^ exp.val) & exp.mask
+        if diff:
+            # Report the lowest mismatching offset, one per block.
+            off = ((diff & -diff).bit_length() - 1) >> 3
+            violations.append(
+                f"block 0x{baddr:x}+{off}: durable={got.read(off):#x} "
+                f"expected={exp.read(off):#x}"
+            )
     if violations:
         return ConsistencyResult(False, violations)
     return ConsistencyResult.ok()

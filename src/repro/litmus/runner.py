@@ -1,13 +1,13 @@
 """The litmus battery runner: corpus x every registered scheme.
 
 For each (scheme, test) cell the runner lowers the test to a
-:class:`~repro.sim.trace.ProgramTrace`, runs one *counting* pass under an
-unbounded :class:`~repro.check.schedule.CrashSchedule` to learn how many
-micro-step crash points ``T`` the run exposes, then re-executes the trace
-on a fresh system with ``stop_at=k`` for every ``k in 1..T`` (plus the
-crash-free completed run) and reads the durable image of the test's
-locations off the NVMM media.  The resulting observed-state set is
-classified against each formal model's complete allowed set
+:class:`~repro.sim.trace.ProgramTrace` and crashes it at every micro-step
+point ``k in 1..T`` through the crash-exploration kernel
+(:mod:`repro.check.kernel`: one counting pass, then a crashed machine per
+point — litmus traces are short enough that the kernel replays each
+point on a fresh system with ``stop_at=k``), reading the durable image of
+the test's locations off the NVMM media.  The resulting observed-state
+set is classified against each formal model's complete allowed set
 (:mod:`repro.litmus.models`):
 
 ``allowed``
@@ -37,9 +37,10 @@ Plugin schemes registered only in the driving process need ``jobs=1``
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.check.schedule import CrashSchedule
+from repro.check.kernel import count_points, crash_runs
 from repro.core.registry import (
     MODEL_UNDECLARED,
     PERSISTENCY_MODELS,
@@ -104,6 +105,27 @@ def _build_system(
     )
 
 
+def sweep_states(
+    build, trace, test: LitmusTest, addrs
+) -> Tuple[Dict[State, Dict[str, Any]], int]:
+    """Crash ``trace`` at every micro-step point and read the test's
+    locations off each durable image.  Returns ``({state: first-seen
+    provenance}, number of points)``.
+
+    Only crash points contribute observed states — a clean run's media
+    image is *not* the durable state for schemes whose battery covers
+    volatile structures (the final crash point, firing after the last op,
+    yields the full-store image via ``crash_drain``)."""
+    profile = count_points(build, trace)
+    observed: Dict[State, Dict[str, Any]] = {}
+    for run in crash_runs(build, trace, range(1, profile.total + 1), profile):
+        state = observe_state(run.system.nvmm_media, test, addrs)
+        if state not in observed:
+            observed[state] = {"stop_at": run.point,
+                               "site": run.result.crash_point.site}
+    return observed, profile.total
+
+
 # ----------------------------------------------------------------------
 # The per-cell worker (module-level: picklable for the batch runner)
 # ----------------------------------------------------------------------
@@ -119,27 +141,10 @@ def run_cell(
     test = LitmusTest.from_payload(payload)
     config = _default_config()
     trace, addrs = lower(test, config)
-
-    observed: Dict[State, Dict[str, Any]] = {}
-
-    # Counting run: learn how many micro-step crash points the trace
-    # exposes.  Only crash points contribute observed states — a clean
-    # run's media image is *not* the durable state for schemes whose
-    # battery covers volatile structures (the final crash point, firing
-    # after the last op, yields the full-store image via crash_drain).
-    schedule = CrashSchedule(stop_at=None)
-    system = _build_system(scheme, mutant, entries, config, schedule)
-    system.run(trace)
-    total = schedule.visits
-
-    for k in range(1, total + 1):
-        schedule = CrashSchedule(stop_at=k)
-        system = _build_system(scheme, mutant, entries, config, schedule)
-        result = system.run(trace)
-        state = observe_state(system.nvmm_media, test, addrs)
-        if state not in observed:
-            site = result.crash_point.site if result.crash_point else ""
-            observed[state] = {"stop_at": k, "site": site}
+    observed, total = sweep_states(
+        partial(_build_system, scheme, mutant, entries, config),
+        trace, test, addrs,
+    )
 
     return {
         "scheme": scheme,

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Tuple
 
 
 class MESIState(enum.Enum):
@@ -55,51 +56,100 @@ def block_offset(addr: int, block_size: int) -> int:
     return addr & (block_size - 1)
 
 
-@dataclass
 class BlockData:
-    """Byte-granular contents of one cache block.
+    """Byte-granular contents of one cache block, packed into two ints.
 
-    Only bytes that were ever written are stored; unwritten bytes read as 0.
-    This sparse representation keeps memory images cheap while still letting
-    the recovery checker compare full block values.
+    ``val`` holds the block's bytes little-endian (byte ``i`` at bits
+    ``8*i .. 8*i+7``); ``mask`` holds ``0xFF`` over every byte ever
+    written.  Unwritten bytes read as 0 and are always 0 in ``val``, so
+    overlaying, copying and comparing blocks are a few int operations
+    instead of per-byte dict work.  ``BlockData({offset: byte})`` builds a
+    block from a sparse byte map, and :attr:`bytes` gives that map back as
+    a read-only view.
     """
 
-    bytes: Dict[int, int] = field(default_factory=dict)
+    __slots__ = ("val", "mask")
+
+    def __init__(self, bytes: Optional[Mapping[int, int]] = None) -> None:
+        val = mask = 0
+        if bytes:
+            for off, byte in bytes.items():
+                shift = off << 3
+                val = (val & ~(0xFF << shift)) | ((byte & 0xFF) << shift)
+                mask |= 0xFF << shift
+        self.val = val
+        self.mask = mask
+
+    @property
+    def bytes(self) -> Mapping[int, int]:
+        """Read-only ``{offset: byte}`` view of the written bytes."""
+        return MappingProxyType(dict(self.items()))
+
+    def items(self) -> List[Tuple[int, int]]:
+        """``(offset, byte)`` for every written byte, by ascending offset."""
+        mask = self.mask
+        if not mask:
+            return []
+        n = (mask.bit_length() + 7) >> 3
+        raw = self.val.to_bytes(n, "little")
+        return [(off, raw[off])
+                for off, m in enumerate(mask.to_bytes(n, "little")) if m]
 
     def write(self, offset: int, value: int) -> None:
-        self.bytes[offset] = value & 0xFF
+        shift = offset << 3
+        self.val = (self.val & ~(0xFF << shift)) | ((value & 0xFF) << shift)
+        self.mask |= 0xFF << shift
 
     def write_word(self, offset: int, value: int, size: int = 8) -> None:
         """Write ``size`` bytes of ``value`` little-endian at ``offset``."""
-        b = self.bytes
-        for i in range(size):
-            b[offset + i] = (value >> (8 * i)) & 0xFF
+        shift = offset << 3
+        m = ((1 << (size << 3)) - 1) << shift
+        self.val = (self.val & ~m) | ((value << shift) & m)
+        self.mask |= m
 
     def read(self, offset: int) -> int:
-        return self.bytes.get(offset, 0)
+        return (self.val >> (offset << 3)) & 0xFF
 
     def read_word(self, offset: int, size: int = 8) -> int:
-        get = self.bytes.get
-        word = 0
-        for i in range(size):
-            word |= get(offset + i, 0) << (8 * i)
-        return word
+        return (self.val >> (offset << 3)) & ((1 << (size << 3)) - 1)
+
+    def flip_bit(self, offset: int, bit: int) -> None:
+        """Invert bit ``bit`` (0-7) of the byte at ``offset`` (marking the
+        byte written) — the media/buffer corruption fault."""
+        shift = offset << 3
+        self.val ^= 1 << (shift + (bit & 7))
+        self.mask |= 0xFF << shift
 
     def merge_from(self, other: "BlockData") -> None:
         """Overlay ``other``'s written bytes onto this block (other wins)."""
-        self.bytes.update(other.bytes)
+        m = other.mask
+        self.val = (self.val & ~m) | other.val
+        self.mask |= m
 
     def copy(self) -> "BlockData":
-        return BlockData(dict(self.bytes))
+        clone = BlockData.__new__(BlockData)
+        clone.val = self.val
+        clone.mask = self.mask
+        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockData):
             return NotImplemented
-        keys = set(self.bytes) | set(other.bytes)
-        return all(self.read(k) == other.read(k) for k in keys)
+        # Unwritten bytes are 0 in ``val``: an explicit zero equals an
+        # unwritten byte, exactly as reading them does.
+        return self.val == other.val
 
     def __bool__(self) -> bool:
-        return bool(self.bytes)
+        return bool(self.mask)
+
+    def __repr__(self) -> str:
+        return f"BlockData({dict(self.items())!r})"
+
+
+def block_digest_bytes(data: BlockData) -> bytes:
+    """``offset, byte`` pairs of every written byte, by ascending offset —
+    the per-block payload the durable-image fingerprints hash."""
+    return bytes(b for item in data.items() for b in item)
 
 
 @dataclass

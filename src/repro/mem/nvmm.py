@@ -66,9 +66,10 @@ class NVMMedia:
         ECC model can report it.  Counts as a media write (the row was
         programmed, just not completely)."""
         self._check(block_addr)
-        partial = BlockData(
-            {off: val for off, val in data.bytes.items() if off < keep_bytes}
-        )
+        partial = data.copy()
+        keep = (1 << (max(0, keep_bytes) << 3)) - 1
+        partial.val &= keep
+        partial.mask &= keep
         dest = self._blocks.setdefault(block_addr, BlockData())
         dest.merge_from(partial)
         self.write_counts[block_addr] += 1

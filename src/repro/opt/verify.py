@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.check.schedule import CrashSchedule
 from repro.core.registry import (
     MODEL_UNDECLARED,
     ORDERING_EPOCH,
@@ -59,7 +59,7 @@ from repro.core.registry import (
     ORDERING_FLUSH,
     scheme_info,
 )
-from repro.mem.block import block_address
+from repro.mem.block import block_address, block_digest_bytes
 from repro.obs.bus import NULL_BUS
 from repro.obs.events import OptCellVerified
 from repro.opt.ir import Op, Program, instrument_naive
@@ -266,10 +266,8 @@ def final_image_fingerprint(
     for baddr in sorted(media.written_blocks()):
         if not is_persistent(baddr):
             continue
-        data = media.peek_block(baddr)
         h.update(baddr.to_bytes(8, "little"))
-        for off in sorted(data.bytes):
-            h.update(bytes((off, data.bytes[off])))
+        h.update(block_digest_bytes(media.peek_block(baddr)))
     return h.hexdigest()
 
 
@@ -284,10 +282,9 @@ def _run_to_completion(program: Program, scheme: str, entries, config,
     flushes the covered domain, yielding the full-store image the scheme
     actually guarantees."""
     from repro.api import RunOptions, build_system
+    from repro.check.kernel import final_crash
 
-    trace = program.to_trace()
-
-    def crashed_system(schedule):
+    def build(schedule):
         system = build_system(
             scheme, entries=entries, config=config,
             options=RunOptions(crash_schedule=schedule),
@@ -296,18 +293,10 @@ def _run_to_completion(program: Program, scheme: str, entries, config,
             seed_media(system.nvmm_media)
         return system
 
-    counting = CrashSchedule(stop_at=None)
-    counting_system = crashed_system(counting)
-    counting_system.run(trace)
-    if counting.visits == 0:
-        # A fully-elided program retires no ops, so no crash point ever
-        # fires; with nothing in flight the clean-run media already is
-        # the durable image.
-        return final_image_fingerprint(
-            counting_system.nvmm_media, config.mem.is_persistent
-        )
-    system = crashed_system(CrashSchedule(stop_at=counting.visits))
-    system.run(trace)
+    # A fully-elided program retires no ops, so no crash point ever
+    # fires; with nothing in flight the clean-run media (the system
+    # final_crash then returns) already is the durable image.
+    system, _ = final_crash(build, program.to_trace())
     return final_image_fingerprint(
         system.nvmm_media, config.mem.is_persistent
     )
@@ -431,24 +420,13 @@ def verify_workload_cell(
 
 def _sweep_states(trace, scheme: str, entries: int, config, test, addrs):
     """Crash-sweep ``trace`` exactly like the battery sweeps a cell;
-    returns ``{state: first-seen provenance}``."""
-    from repro.litmus.dsl import observe_state
-    from repro.litmus.runner import _build_system
+    returns ``({state: first-seen provenance}, number of points)``."""
+    from repro.litmus.runner import _build_system, sweep_states
 
-    schedule = CrashSchedule(stop_at=None)
-    system = _build_system(scheme, None, entries, config, schedule)
-    system.run(trace)
-    total = schedule.visits
-    observed: Dict[Tuple[int, ...], Dict[str, Any]] = {}
-    for k in range(1, total + 1):
-        schedule = CrashSchedule(stop_at=k)
-        system = _build_system(scheme, None, entries, config, schedule)
-        result = system.run(trace)
-        state = observe_state(system.nvmm_media, test, addrs)
-        if state not in observed:
-            site = result.crash_point.site if result.crash_point else ""
-            observed[state] = {"stop_at": k, "site": site}
-    return observed, total
+    return sweep_states(
+        partial(_build_system, scheme, None, entries, config),
+        trace, test, addrs,
+    )
 
 
 def _minimize_removals(

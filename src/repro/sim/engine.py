@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -141,58 +142,17 @@ class Engine:
         produce identical results.  Every op runs through :meth:`_execute`
         in the order of a min-heap over ``(clock, core)``.
         """
-        if trace.num_threads > self.config.num_cores:
-            raise ValueError(
-                f"trace has {trace.num_threads} threads but the system has "
-                f"{self.config.num_cores} cores"
-            )
-        trace = program_of(trace)
-        schedule = self.hierarchy.crash_schedule
-        schedule_on = schedule.enabled
-        result = RunResult(stats=self.stats)
-        num_threads = trace.num_threads
-        clocks = [0] * num_threads
-        indices = [0] * num_threads
-        flush_outstanding: List[List[int]] = [[] for _ in range(num_threads)]
-        executed = 0
-
-        # Min-heap scheduler: always step the core with the smallest
-        # clock, ties broken by core index — identical to a min() over
-        # live cores, but O(log n) per step and with no per-step
-        # liveness list-build.
-        ops_per_core = [t.ops for t in trace.threads]
-        lengths = [len(ops) for ops in ops_per_core]
-        heap = [(0, c) for c in range(num_threads) if lengths[c]]
-        execute = self._execute
-        while heap:
-            clock, core = heapq.heappop(heap)
-            i = indices[core]
-            op = ops_per_core[core][i]
-            indices[core] = i + 1
-            try:
-                clock = execute(core, op, clock, result,
-                                flush_outstanding[core])
-                clocks[core] = clock
-                executed += 1
-                if schedule_on:
-                    schedule.reached(SITE_OP, clock)
-            except CrashNow as crash:
-                # A scheduled micro-step crash fired inside (or right
-                # after) this op: ``executed`` counts fully-executed ops.
-                clocks[core] = max(clocks[core], clock)
+        cursor = RunCursor(self, trace)
+        if crash_at_op is None:
+            cursor.step()
+        else:
+            cursor.step(max(crash_at_op, 1))
+            result = cursor.result
+            executed = cursor.executed
+            if not result.crashed and executed and executed >= crash_at_op:
                 result.crashed = True
                 result.crash_op = executed
-                result.crash_point = crash.point
-                break
-            if i + 1 < lengths[core]:
-                heapq.heappush(heap, (clock, core))
-            if crash_at_op is not None and executed >= crash_at_op:
-                result.crashed = True
-                result.crash_op = executed
-                break
-
-        return self._epilogue(result, clocks, flush_outstanding, executed,
-                              finalize)
+        return cursor.finish(finalize)
 
     def _epilogue(
         self,
@@ -476,6 +436,88 @@ class Engine:
                 break
             refill(needy)
         return session.finish(finalize=finalize)
+
+
+class RunCursor:
+    """The loop state of one :meth:`Engine.run`, resumable op by op.
+
+    Holds the min-heap over ``(clock, core)``, per-core op indices, clocks
+    and outstanding flushes, the executed-op count and the
+    :class:`RunResult`.  :meth:`step` runs the engine's one per-op loop up
+    to a given executed-op count; :meth:`finish` settles the run exactly
+    like a completed :meth:`Engine.run`.  Stopping between ops leaves the
+    machine at an op boundary, which is where the crash-exploration
+    kernel (:mod:`repro.check.kernel`) snapshots it.
+    """
+
+    def __init__(self, engine: Engine, trace: ProgramTrace) -> None:
+        if trace.num_threads > engine.config.num_cores:
+            raise ValueError(
+                f"trace has {trace.num_threads} threads but the system has "
+                f"{engine.config.num_cores} cores"
+            )
+        self.engine = engine
+        self.trace = trace = program_of(trace)
+        self.result = RunResult(stats=engine.stats)
+        num_threads = trace.num_threads
+        self.clocks = [0] * num_threads
+        self.indices = [0] * num_threads
+        self.flush_outstanding: List[List[int]] = [
+            [] for _ in range(num_threads)
+        ]
+        self.executed = 0
+        # Min-heap scheduler: always step the core with the smallest
+        # clock, ties broken by core index — identical to a min() over
+        # live cores, but O(log n) per step and with no per-step
+        # liveness list-build.
+        self.heap = [(0, c) for c in range(num_threads)
+                     if trace.threads[c].ops]
+
+    def step(self, until: Optional[int] = None) -> None:
+        """Execute ops until ``executed`` reaches ``until`` (``None``: the
+        end of the trace) or a scheduled crash fires."""
+        engine = self.engine
+        schedule = engine.hierarchy.crash_schedule
+        schedule_on = schedule.enabled
+        execute = engine._execute
+        result = self.result
+        heap = self.heap
+        indices = self.indices
+        clocks = self.clocks
+        flush_outstanding = self.flush_outstanding
+        ops_per_core = [t.ops for t in self.trace.threads]
+        limit = sys.maxsize if until is None else until
+        executed = self.executed
+        while heap and executed < limit:
+            clock, core = heapq.heappop(heap)
+            i = indices[core]
+            ops = ops_per_core[core]
+            indices[core] = i + 1
+            try:
+                clock = execute(core, ops[i], clock, result,
+                                flush_outstanding[core])
+                clocks[core] = clock
+                executed += 1
+                if schedule_on:
+                    schedule.reached(SITE_OP, clock)
+            except CrashNow as crash:
+                # A scheduled micro-step crash fired inside (or right
+                # after) this op: ``executed`` counts fully-executed ops.
+                clocks[core] = max(clocks[core], clock)
+                result.crashed = True
+                result.crash_op = executed
+                result.crash_point = crash.point
+                break
+            if i + 1 < len(ops):
+                heapq.heappush(heap, (clock, core))
+        self.executed = executed
+
+    def finish(self, finalize: bool = True) -> RunResult:
+        """Settle the run: retire buffered stores, finalize the scheme (or
+        crash-drain it), and publish per-core cycle counts."""
+        return self.engine._epilogue(self.result, self.clocks,
+                                     self.flush_outstanding, self.executed,
+                                     finalize)
 
 
 class EngineStream:

@@ -237,6 +237,7 @@ def test_bbpb_corruption_without_parity_flips_one_bit():
     ]
     assert len(diffs) == 1
     assert bin(out.read(diffs[0]) ^ data.read(diffs[0])).count("1") == 1
+    assert data == _block_data()  # the flip lands on a copy
     assert injector.detected_count == 0  # silent without parity
 
 

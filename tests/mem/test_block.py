@@ -108,6 +108,33 @@ class TestBlockData:
         assert not BlockData()
         assert BlockData({0: 0})
 
+    def test_bytes_is_a_read_only_view(self):
+        d = BlockData({2: 0xAB, 0: 0x01})
+        assert dict(d.bytes) == {0: 0x01, 2: 0xAB}
+        with pytest.raises(TypeError):
+            d.bytes[0] = 7
+        assert d.read(0) == 0x01
+
+    def test_items_are_written_bytes_by_offset(self):
+        d = BlockData()
+        d.write_word(8, 0x0201, size=2)
+        d.write(0, 0)
+        assert d.items() == [(0, 0), (8, 0x01), (9, 0x02)]
+
+    def test_flip_bit_inverts_one_bit(self):
+        d = BlockData({3: 0b1010})
+        d.flip_bit(3, 0)
+        assert d.read(3) == 0b1011
+        d.flip_bit(3, 7)
+        assert d.read(3) == 0b10001011
+        assert d.items() == [(3, 0b10001011)]
+
+    def test_word_writes_mask_to_size(self):
+        d = BlockData()
+        d.write_word(0, -1, size=2)
+        assert d.read_word(0, size=4) == 0xFFFF
+        assert d.items() == [(0, 0xFF), (1, 0xFF)]
+
 
 class TestCacheBlock:
     def test_defaults(self):
