@@ -7,14 +7,12 @@
     system = build_system(Scheme.BBB, entries=32)
     system = build_system(Scheme.PMEM, config=my_config)
 
-:func:`build_system` replaces the seven per-scheme factory functions that
-used to live in :mod:`repro.sim.system` (``eadr()``, ``bbb()``, ...), which
-remain as deprecated wrappers around it.  Scheme names are stable strings
-(the same ones the CLI accepts); :class:`Scheme` enumerates the builtin
-comparison space, and both it and :data:`SCHEMES` are derived from the
-scheme registry (:mod:`repro.core.registry`), where every scheme —
-including plugins registered from outside this package — is described by
-a :class:`~repro.core.registry.SchemeInfo` capability descriptor.
+Scheme names are stable strings (the same ones the CLI accepts);
+:class:`Scheme` enumerates the builtin comparison space, and both it and
+:data:`SCHEMES` are derived from the scheme registry
+(:mod:`repro.core.registry`), where every scheme — including plugins
+registered from outside this package — is described by a
+:class:`~repro.core.registry.SchemeInfo` capability descriptor.
 
 Run-level wiring — observability bus, relaxed-release seed, fault
 injection, crash scheduling, execution mode — travels in one typed
@@ -38,21 +36,17 @@ keyword                schemes                     meaning
 =====================  ==========================  ==========================
 
 ``entries`` sizes the persist buffer for the schemes whose registry entry
-sets ``has_persist_buffer`` and is ignored by the bufferless schemes,
-matching the old factories' behaviour.
+sets ``has_persist_buffer`` and is ignored by the bufferless schemes.
 
 The run-level values (``bus``, ``reorder_seed``, ``fault_injector``,
-``crash_schedule``, ``mode``) are also still accepted as bare keyword
-arguments for backward compatibility; that spelling is **deprecated**
-(it warns ``DeprecationWarning``, and CI runs the tools with
-``-W error::DeprecationWarning``) — pass ``options=`` instead.
+``crash_schedule``, ``mode``) are accepted only through ``options=``; as
+bare keyword arguments they fail like any other unknown scheme keyword.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -130,11 +124,6 @@ class RunOptions:
 #: The default (un-instrumented, ``auto``-mode) run wiring.
 DEFAULT_RUN_OPTIONS = RunOptions()
 
-#: Deprecated bare-kwarg spellings of the :class:`RunOptions` fields.
-_LEGACY_RUN_KWARGS = (
-    "bus", "reorder_seed", "fault_injector", "crash_schedule", "mode",
-)
-
 
 def build_system(
     scheme: Union[str, "Scheme"],
@@ -150,27 +139,10 @@ def build_system(
     alias.  ``entries`` sizes the scheme's persist buffer where it has
     one.  ``options`` carries the run-level wiring (:class:`RunOptions`);
     the remaining ``**kw`` are scheme-specific (see the module
-    docstring).  Passing ``RunOptions`` fields as bare keyword arguments
-    is deprecated.
+    docstring).
     """
     name = scheme.value if isinstance(scheme, Scheme) else str(scheme)
     info = scheme_info(name)  # raises ValueError on unknown schemes
-
-    legacy = {k: kw.pop(k) for k in _LEGACY_RUN_KWARGS if k in kw}
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        if options is not None:
-            raise TypeError(
-                f"build_system() got options= and the legacy keyword "
-                f"argument(s) {names}; pass everything via options="
-            )
-        warnings.warn(
-            f"passing {names} to build_system() as bare keyword arguments "
-            f"is deprecated; pass options=RunOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        options = RunOptions(**legacy)
     opts = options if options is not None else DEFAULT_RUN_OPTIONS
 
     scheme_obj = info.build_scheme(entries=entries, **kw)

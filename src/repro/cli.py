@@ -89,12 +89,12 @@ from repro.obs.bus import NULL_BUS, EventBus, EventRecorder
 from repro.sim.crash import CrashInjector
 from repro.sim.system import SYSTEM_MODES, System
 from repro.sim.tracefile import save_trace
+from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
 
 #: Mirror of :data:`repro.analysis.bench.BENCH_MODES` — duplicated so the
-#: parser builds without importing the (heavier) bench module; the bench
-#: module asserts the two stay in sync.
+#: parser builds without importing the (heavier) bench module;
+#: :func:`cmd_bench` asserts the two stay in sync.
 BENCH_MODES = ("all", "analytical")
-from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -108,6 +108,21 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--elements", type=int, default=16384,
                         help="structure size (the paper used 1M)")
     parser.add_argument("--seed", type=int, default=42)
+
+
+def _add_batch_args(parser: argparse.ArgumentParser, noun: str) -> None:
+    """The batch-runner flags (read by :func:`_jobs` and
+    :func:`_batch_policy`); ``noun`` names the command's unit of work."""
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: REPRO_JOBS or "
+                             "cores); plugin schemes need --jobs 1")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help=f"seconds per {noun} before retry")
+    parser.add_argument("--retries", type=int, default=1,
+                        help=f"retries per {noun} (timeouts & crashes)")
+    parser.add_argument("--checkpoint", default=None, metavar="PATH",
+                        help="JSONL checkpoint; rerun with the same path "
+                             "to resume an interrupted run")
 
 
 def _spec(args) -> WorkloadSpec:
@@ -150,6 +165,86 @@ def _scheme_path(path: str, scheme: str) -> str:
     """``out/trace.json`` + ``bbb`` -> ``out/trace.bbb.json``."""
     root, ext = os.path.splitext(path)
     return f"{root}.{scheme}{ext}" if ext else f"{path}.{scheme}"
+
+
+class _UsageError(Exception):
+    """Bad command-line input: :func:`main` prints ``error: <message>`` and
+    exits 2 (exit 1 is reserved for a failed gate)."""
+
+
+def _parse(parse, text):
+    """``parse(text)``, with a ``ValueError`` turned into a usage error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
+def _comma_list(text: Optional[str], default=None, parse=str):
+    """The items of a comma-separated option value (``--schemes``,
+    ``--workloads``, ``--loads``, ...), each stripped and passed through
+    ``parse``; ``default`` when the option was not given."""
+    if not text:
+        return default
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise _UsageError(f"empty list {text!r}")
+    return [_parse(parse, item) for item in items]
+
+
+def _workload_name(name: str) -> str:
+    if name not in WORKLOAD_NAMES:
+        raise ValueError(f"unknown workload {name!r}; valid workloads: "
+                         f"{', '.join(WORKLOAD_NAMES)}")
+    return name
+
+
+def _jobs(args) -> int:
+    """Resolve ``--jobs``/``REPRO_JOBS`` up front: fail before any work
+    runs, and hand the concrete worker count to the report."""
+    from repro.analysis.batch import decide_jobs
+
+    return _parse(decide_jobs, args.jobs)
+
+
+def _batch_policy(args):
+    """The batch runner's policy from the flags of :func:`_add_batch_args`."""
+    from repro.analysis.batch import BatchPolicy
+
+    return BatchPolicy(
+        timeout=args.timeout, retries=args.retries,
+        checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
+    )
+
+
+def _progress(noun: str = ""):
+    """A batch progress callback ``(done, total[, label])`` that redraws
+    one stderr line, and only when stderr is a terminal."""
+
+    def progress(done: int, total: int, label: str = noun) -> None:
+        if sys.stderr.isatty():
+            print(f"\r  {done}/{total} {label:<32}", end="", file=sys.stderr,
+                  flush=True)
+            if done == total:
+                print(file=sys.stderr)
+
+    return progress
+
+
+def _replay(path: str, replay, report) -> int:
+    """``--replay PATH``: re-run the artifact through ``replay(path)`` and
+    let ``report(out, headline)`` print the outcome.  Exit 0 when it
+    reproduces, 1 when it does not; an artifact that does not load is a
+    usage error."""
+    from repro.ioutil import ArtifactError
+
+    try:
+        out = replay(path)
+    except ArtifactError as exc:
+        raise _UsageError(exc) from None
+    status = "REPRODUCED" if out["reproduced"] else "did NOT reproduce"
+    report(out, f"{path}: {status}")
+    return 0 if out["reproduced"] else 1
 
 
 def cmd_run(args) -> int:
@@ -329,7 +424,6 @@ def cmd_table1(args) -> int:
 def cmd_bench(args) -> int:
     # Imported here so the (slow-ish) bench module does not tax every other
     # CLI invocation.
-    from repro.analysis.batch import decide_jobs
     from repro.analysis.bench import (
         BENCH_MODES as _BENCH_MODES,
         run_bench,
@@ -354,19 +448,11 @@ def cmd_bench(args) -> int:
         print("bench smoke ok")
         return 0
 
-    try:
-        # Resolve --jobs/REPRO_JOBS up front: fail before any suite runs,
-        # and record the concrete worker count in the report.
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    jobs = _jobs(args)
     out_dir = os.path.dirname(args.out) if args.out else ""
     if out_dir and not os.path.isdir(out_dir):
         # Fail before spending seconds on suites whose report can't be saved.
-        print(f"error: output directory {out_dir!r} does not exist",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"output directory {out_dir!r} does not exist")
     report = run_bench(jobs=jobs, mode=args.mode)
     path = write_bench(report, args.out)
     rows = [
@@ -428,18 +514,9 @@ def cmd_traffic(args) -> int:
     if args.smoke:
         return _traffic_smoke()
 
-    try:
-        schemes = (
-            [canonical_name(s) for s in args.schemes.split(",")]
-            if args.schemes else list(TRAFFIC_DEFAULT_SCHEMES)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    loads = (
-        [float(x) for x in args.loads.split(",")]
-        if args.loads else list(TRAFFIC_DEFAULT_LOADS)
-    )
+    schemes = _comma_list(args.schemes, list(TRAFFIC_DEFAULT_SCHEMES),
+                          canonical_name)
+    loads = _comma_list(args.loads, list(TRAFFIC_DEFAULT_LOADS), float)
     if args.arrival == ARRIVAL_CLOSED:
         # Closed-loop rate is set by clients/think time, not offered load:
         # one point per scheme.
@@ -499,36 +576,23 @@ def cmd_drill(args) -> int:
     from repro.serve.drill import run_drills, smoke_drill, write_report
     from repro.serve.loadgen import TrafficSpec
 
-    def progress(done: int, total: int, label: str) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} {label:<32}", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
+    progress = _progress()
     try:
         if args.smoke:
             report = smoke_drill(seed=args.seed, progress=progress)
         else:
-            schemes = (
-                [canonical_name(s) for s in args.schemes.split(",")]
-                if args.schemes else list(SCHEMES)
-            )
-            loads = (
-                [float(x) for x in args.loads.split(",")]
-                if args.loads else [2.0]
-            )
+            schemes = _comma_list(args.schemes, list(SCHEMES), canonical_name)
+            loads = _comma_list(args.loads, [2.0], float)
             spec = TrafficSpec(requests=args.requests, arrival=args.arrival,
                                offered_load=loads[0], seed=args.seed + 42)
             report = run_drills(
                 schemes, spec, loads, crashes=args.crashes, seed=args.seed,
-                entries=args.entries, mutants=tuple(
-                    m.strip() for m in args.mutants.split(",") if m.strip()
-                ) if args.mutants else (), progress=progress,
+                entries=args.entries,
+                mutants=tuple(_comma_list(args.mutants, ())),
+                progress=progress,
             )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
 
     rows = []
     for group in ("per_scheme", "per_mutant"):
@@ -582,7 +646,6 @@ def cmd_drill(args) -> int:
 def cmd_faults(args) -> int:
     # Imported here: the fault-campaign stack (batch runner, recovery
     # checkers) should not tax the other commands' startup.
-    from repro.analysis.batch import BatchPolicy, decide_jobs
     from repro.fault.campaign import (
         SMOKE_WORKLOADS,
         canonical_plans,
@@ -592,42 +655,14 @@ def cmd_faults(args) -> int:
     )
     from repro.fault.plan import BATTERY_DOMAIN_SITES, random_plan
 
-    try:
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(done: int, total: int) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} units", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
+    jobs = _jobs(args)
+    progress = _progress("units")
     if args.smoke:
         report = smoke_campaign(seed=args.seed, jobs=jobs, progress=progress)
     else:
-        schemes = (
-            [s.strip() for s in args.schemes.split(",") if s.strip()]
-            if args.schemes else list(SCHEMES)
-        )
-        workloads = (
-            [w.strip() for w in args.workloads.split(",") if w.strip()]
-            if args.workloads else list(SMOKE_WORKLOADS)
-        )
-        resolved, unknown = [], []
-        for s in schemes:
-            try:
-                resolved.append(canonical_name(s))
-            except ValueError:
-                unknown.append(s)
-        schemes = resolved
-        unknown += [w for w in workloads if w not in WORKLOAD_NAMES]
-        if unknown:
-            print(f"error: unknown scheme/workload: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
+        schemes = _comma_list(args.schemes, list(SCHEMES), canonical_name)
+        workloads = _comma_list(args.workloads, list(SMOKE_WORKLOADS),
+                                _workload_name)
         plans = canonical_plans() + [
             random_plan(args.seed * 1000 + i, sites=BATTERY_DOMAIN_SITES,
                         label=f"random-battery-{i}")
@@ -635,14 +670,10 @@ def cmd_faults(args) -> int:
         ]
         spec = WorkloadSpec(threads=args.threads, ops=args.ops,
                             elements=args.elements, seed=args.seed + 42)
-        policy = BatchPolicy(
-            timeout=args.timeout, retries=args.retries,
-            checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
-        )
         report = run_campaign(
             schemes, workloads, plans, spec,
             seed=args.seed, crashes_per_cell=args.crashes,
-            entries=args.entries, jobs=jobs, policy=policy,
+            entries=args.entries, jobs=jobs, policy=_batch_policy(args),
             progress=progress,
         )
 
@@ -667,7 +698,6 @@ def cmd_faults(args) -> int:
 def cmd_check(args) -> int:
     # Imported here: the model-checker stack (batch runner, oracles,
     # minimizer) should not tax the other commands' startup.
-    from repro.analysis.batch import BatchPolicy, decide_jobs
     from repro.check.checker import (
         CheckUnit,
         publish_report,
@@ -677,33 +707,17 @@ def cmd_check(args) -> int:
     from repro.check.mutants import MUTANTS
     from repro.ioutil import atomic_write_json
 
-    try:
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(done: int, total: int) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} shards", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
+    jobs = _jobs(args)
+    progress = _progress("shards")
     if args.replay:
         from repro.check.minimize import replay_artifact
-        from repro.ioutil import ArtifactError
 
-        try:
-            out = replay_artifact(args.replay)
-        except ArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        status = "REPRODUCED" if out["reproduced"] else "did NOT reproduce"
-        print(f"{args.replay}: {status} at {out['site']}")
-        for v in out["violations"][:5]:
-            print(f"  {v}")
-        return 0 if out["reproduced"] else 1
+        def report_replay(out, headline):
+            print(f"{headline} at {out['site']}")
+            for v in out["violations"][:5]:
+                print(f"  {v}")
+
+        return _replay(args.replay, replay_artifact, report_replay)
 
     if args.smoke:
         out = smoke_check(jobs=jobs, progress=progress)
@@ -723,18 +737,11 @@ def cmd_check(args) -> int:
             print(f"error: {failure}", file=sys.stderr)
         return 0 if out["ok"] else 1
 
-    try:
-        args.scheme = canonical_name(args.scheme)
-    except ValueError:
-        print(f"error: unknown scheme {args.scheme!r}", file=sys.stderr)
-        return 2
+    args.scheme = _parse(canonical_name, args.scheme)
     if args.mutant is not None and args.mutant not in MUTANTS:
-        print(f"error: unknown mutant {args.mutant!r}; valid: "
-              f"{', '.join(sorted(MUTANTS))}", file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOAD_NAMES:
-        print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown mutant {args.mutant!r}; valid: "
+                          f"{', '.join(sorted(MUTANTS))}")
+    _parse(_workload_name, args.workload)
 
     unit = CheckUnit(
         scheme=args.scheme,
@@ -747,12 +754,8 @@ def cmd_check(args) -> int:
         max_points=args.max_points,
         sample_seed=args.seed,
     )
-    policy = BatchPolicy(
-        timeout=args.timeout, retries=args.retries,
-        checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
-    )
     report, verdicts = run_check_unit(
-        unit, jobs=jobs, policy=policy, progress=progress
+        unit, jobs=jobs, policy=_batch_policy(args), progress=progress
     )
     publish_report(report)
     print(render_table(
@@ -800,7 +803,6 @@ def cmd_check(args) -> int:
 def cmd_litmus(args) -> int:
     # Imported here: the litmus battery rides on the model-checker stack
     # and should not tax the other commands' startup.
-    from repro.analysis.batch import BatchPolicy, decide_jobs
     from repro.ioutil import atomic_write_json
     from repro.litmus.corpus import corpus
     from repro.litmus.runner import (
@@ -812,34 +814,16 @@ def cmd_litmus(args) -> int:
         smoke_battery,
     )
 
-    try:
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(done: int, total: int) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} cells", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
+    jobs = _jobs(args)
+    progress = _progress("cells")
     if args.replay:
-        from repro.ioutil import ArtifactError
+        def report_replay(out, headline):
+            art = out["artifact"]
+            print(f"{headline} — {art['mutant'] or art['scheme']} observing "
+                  f"{tuple(out['state'])} (forbidden under {art['model']!r}) "
+                  f"on the reduced test")
 
-        try:
-            out = replay_counterexample(args.replay)
-        except ArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        status = "REPRODUCED" if out["reproduced"] else "did NOT reproduce"
-        art = out["artifact"]
-        target = art["mutant"] or art["scheme"]
-        print(f"{args.replay}: {status} — {target} observing "
-              f"{tuple(out['state'])} (forbidden under {art['model']!r}) "
-              f"on the reduced test")
-        return 0 if out["reproduced"] else 1
+        return _replay(args.replay, replay_counterexample, report_replay)
 
     if args.smoke:
         report, failures = smoke_battery(jobs=jobs, progress=progress)
@@ -850,30 +834,12 @@ def cmd_litmus(args) -> int:
             print(f"wrote {atomic_write_json(args.out, report)}")
         return 1 if failures else 0
 
-    schemes = None
-    if args.schemes:
-        try:
-            schemes = [canonical_name(s) for s in args.schemes.split(",")]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    tests = None
-    if args.tests:
-        try:
-            tests = corpus(args.tests.split(","))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    policy = BatchPolicy(
-        timeout=args.timeout, retries=args.retries,
-        checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
-    )
     report = run_battery(
-        schemes=schemes, tests=tests, entries=args.entries,
-        include_mutants=not args.no_mutants, jobs=jobs, policy=policy,
-        progress=progress, minimize=not args.no_minimize,
-        cex_dir=args.cex_dir,
+        schemes=_comma_list(args.schemes, parse=canonical_name),
+        tests=_parse(corpus, _comma_list(args.tests)),
+        entries=args.entries, include_mutants=not args.no_mutants,
+        jobs=jobs, policy=_batch_policy(args), progress=progress,
+        minimize=not args.no_minimize, cex_dir=args.cex_dir,
     )
     publish_litmus_report(report)
     print(render_matrix(report))
@@ -895,7 +861,6 @@ def cmd_litmus(args) -> int:
 def cmd_opt(args) -> int:
     # Imported here: the optimizer stack (IR, passes, verifier) rides on
     # the checker and litmus layers and should not tax other commands.
-    from repro.analysis.batch import decide_jobs
     from repro.opt import (
         opt_compare,
         render_compare_table,
@@ -906,34 +871,17 @@ def cmd_opt(args) -> int:
         write_report,
     )
 
-    try:
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(done: int, total: int) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} cells", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
+    jobs = _jobs(args)
+    progress = _progress("cells")
     if args.replay:
-        from repro.ioutil import ArtifactError
+        def report_replay(out, headline):
+            print(f"{headline} ({len(out['artifact']['rows'])} cells)")
+            for line in out["mismatches"][:10]:
+                print(f"  {line}", file=sys.stderr)
 
-        try:
-            out = replay_report(args.replay, jobs=jobs)
-        except ArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        status = ("REPRODUCED" if out["reproduced"]
-                  else "did NOT reproduce")
-        print(f"{args.replay}: {status} "
-              f"({len(out['artifact']['rows'])} cells)")
-        for line in out["mismatches"][:10]:
-            print(f"  {line}", file=sys.stderr)
-        return 0 if out["reproduced"] else 1
+        return _replay(args.replay,
+                       lambda path: replay_report(path, jobs=jobs),
+                       report_replay)
 
     if args.smoke:
         out = smoke_opt(jobs=jobs, progress=progress)
@@ -962,21 +910,8 @@ def cmd_opt(args) -> int:
             print(f"wrote {atomic_write_json(args.out, out)}")
         return 0 if out["ok"] else 1
 
-    schemes = None
-    if args.schemes:
-        try:
-            schemes = [canonical_name(s) for s in args.schemes.split(",")]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    workloads = None
-    if args.workloads:
-        workloads = [w.strip() for w in args.workloads.split(",")]
-        unknown = [w for w in workloads if w not in WORKLOAD_NAMES]
-        if unknown:
-            print(f"error: unknown workloads {unknown}", file=sys.stderr)
-            return 2
-
+    schemes = _comma_list(args.schemes, parse=canonical_name)
+    workloads = _comma_list(args.workloads, parse=_workload_name)
     if args.compare:
         report = opt_compare(
             workloads=workloads, schemes=schemes, spec=_spec(args),
@@ -993,11 +928,7 @@ def cmd_opt(args) -> int:
         return 1 if bad else 0
 
     # Single cell: optimize one workload under one scheme, verified.
-    try:
-        args.scheme = canonical_name(args.scheme)
-    except ValueError:
-        print(f"error: unknown scheme {args.scheme!r}", file=sys.stderr)
-        return 2
+    args.scheme = _parse(canonical_name, args.scheme)
     cell = verify_workload_cell(
         args.workload, args.scheme, spec=_spec(args), entries=args.entries,
     )
@@ -1247,15 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="operations per thread")
     p_faults.add_argument("--elements", type=int, default=512,
                           help="structure size")
-    p_faults.add_argument("--jobs", type=int, default=None,
-                          help="workers (default: REPRO_JOBS/CPUs)")
-    p_faults.add_argument("--timeout", type=float, default=None,
-                          help="per-unit timeout in seconds")
-    p_faults.add_argument("--retries", type=int, default=1,
-                          help="retries per unit (timeouts & crashes)")
-    p_faults.add_argument("--checkpoint", default=None, metavar="PATH",
-                          help="JSONL checkpoint; rerun with the same path "
-                               "to resume an interrupted campaign")
+    _add_batch_args(p_faults, "unit")
     p_faults.add_argument("--out", default=None, metavar="PATH",
                           help="write the JSON report atomically to PATH")
     p_faults.set_defaults(func=cmd_faults)
@@ -1299,15 +1222,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip ddmin counterexample minimization")
     p_check.add_argument("--cex-out", default=None, metavar="PATH",
                          help="write the minimized counterexample artifact")
-    p_check.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS or cores)")
-    p_check.add_argument("--timeout", type=float, default=None,
-                         help="seconds per shard before retry")
-    p_check.add_argument("--retries", type=int, default=1,
-                         help="retries per shard (timeouts & crashes)")
-    p_check.add_argument("--checkpoint", default=None, metavar="PATH",
-                         help="JSONL checkpoint; rerun with the same path "
-                              "to resume an interrupted check")
+    _add_batch_args(p_check, "shard")
     p_check.add_argument("--out", default=None, metavar="PATH",
                          help="write the JSON report atomically to PATH")
     p_check.set_defaults(func=cmd_check)
@@ -1342,16 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="persist-buffer entries")
     p_litmus.add_argument("--seed", type=int, default=11,
                           help="batch retry/backoff seed")
-    p_litmus.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: REPRO_JOBS or "
-                               "cores); plugin schemes need --jobs 1")
-    p_litmus.add_argument("--timeout", type=float, default=None,
-                          help="seconds per cell before retry")
-    p_litmus.add_argument("--retries", type=int, default=1,
-                          help="retries per cell (timeouts & crashes)")
-    p_litmus.add_argument("--checkpoint", default=None, metavar="PATH",
-                          help="JSONL checkpoint; rerun with the same path "
-                               "to resume an interrupted battery")
+    _add_batch_args(p_litmus, "cell")
     p_litmus.add_argument("--out", default=None, metavar="PATH",
                           help="write the JSON agreement-matrix report "
                                "atomically to PATH")
@@ -1410,9 +1316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

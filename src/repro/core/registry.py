@@ -273,9 +273,6 @@ class SchemeInfo:
     display: str = ""
     #: One-line description of the scheme.
     doc: str = ""
-    #: Name of the deprecated per-scheme factory in ``repro.sim.system``
-    #: kept alive for backward compatibility (empty = none).
-    legacy_factory: str = ""
     #: True for the schemes shipped by this package; builtins cannot be
     #: unregistered and define the canonical comparison order.
     builtin: bool = False
@@ -345,7 +342,6 @@ def register_scheme(
     accepted_kwargs: Tuple[str, ...] = (),
     display: str = "",
     doc: str = "",
-    legacy_factory: str = "",
     instance_name: Optional[str] = None,
     builtin: bool = False,
     replace: bool = False,
@@ -409,7 +405,6 @@ def register_scheme(
             accepted_kwargs=tuple(accepted_kwargs),
             display=display or name,
             doc=doc,
-            legacy_factory=legacy_factory,
             builtin=builtin,
         )
         _add(info, replace=replace)
@@ -521,7 +516,6 @@ def scheme_for_class(cls: type) -> SchemeInfo:
     ordering_contract=ORDERING_ALL,
     display="BBB",
     doc="memory-side battery-backed persist buffer (the paper's design)",
-    legacy_factory="bbb",
     builtin=True,
 )
 def _build_bbb(cls, entries, drain_threshold=0.75):
@@ -545,7 +539,6 @@ def _build_bbb(cls, entries, drain_threshold=0.75):
     ordering_contract=ORDERING_ALL,
     display="BBB (proc-side)",
     doc="processor-side bbPB (Section V-C baseline)",
-    legacy_factory="bbb_processor_side",
     builtin=True,
 )
 def _build_bbb_proc(cls, entries, coalesce_consecutive=True):
@@ -568,7 +561,6 @@ def _build_bbb_proc(cls, entries, coalesce_consecutive=True):
     ordering_contract=ORDERING_ALL,
     display="Optimal (eADR)",
     doc='whole-hierarchy battery, the "Optimal" line of Fig. 7',
-    legacy_factory="eadr",
     builtin=True,
 )
 def _build_eadr(cls, entries):
@@ -586,7 +578,6 @@ def _build_eadr(cls, entries):
     ordering_contract=(ORDERING_EPOCH,),
     display="PMEM (strict)",
     doc="strict persistency via hardware clwb+sfence; PoP at the WPQ",
-    legacy_factory="pmem_strict",
     builtin=True,
 )
 def _build_pmem(cls, entries):
@@ -603,7 +594,6 @@ def _build_pmem(cls, entries):
     ordering_contract=(ORDERING_EPOCH,),
     display="BSP",
     doc="bulk strict persistency (MICRO'15), volatile ordered buffers",
-    legacy_factory="bsp",
     builtin=True,
 )
 def _build_bsp(cls, entries):
@@ -620,7 +610,6 @@ def _build_bsp(cls, entries):
     ordering_contract=(ORDERING_FLUSH, ORDERING_FENCE),
     display="BEP",
     doc="buffered epoch persistency, volatile buffers (DPO/HOPS-style)",
-    legacy_factory="bep",
     builtin=True,
 )
 def _build_bep(cls, entries):
@@ -638,7 +627,6 @@ def _build_bep(cls, entries):
     ordering_contract=(ORDERING_EPOCH,),
     display="no persistency",
     doc="volatile caches, no ordering control (the motivating baseline)",
-    legacy_factory="no_persistency",
     builtin=True,
 )
 def _build_none(cls, entries):

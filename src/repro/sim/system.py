@@ -9,18 +9,14 @@
     print(result.stats.nvmm_writes, result.execution_cycles)
 
 Systems for the paper's comparison space are built by name through
-:func:`repro.api.build_system`; the per-scheme factory functions that used
-to live here (``eadr()``, ``bbb()``, ...) remain as deprecated wrappers and
-will be removed in a future release.
+:func:`repro.api.build_system`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.check.schedule import NULL_SCHEDULE
-from repro.core import registry as _registry
 from repro.core.persistency import BBBScheme, PersistencyScheme
 from repro.fault.injector import NULL_INJECTOR
 from repro.mem.hierarchy import MemoryHierarchy
@@ -125,45 +121,3 @@ class System:
     def nvmm_media(self):
         return self.hierarchy.nvmm.media
 
-
-# ----------------------------------------------------------------------
-# Deprecated per-scheme factories (use repro.api.build_system instead)
-# ----------------------------------------------------------------------
-
-def _warn_factory(old: str, scheme: str) -> None:
-    warnings.warn(
-        f"repro.sim.system.{old}() is deprecated; use "
-        f"repro.api.build_system({scheme!r}, ...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _make_legacy_factory(info):
-    """One deprecated wrapper per registered builtin: ``name(config, **kw)``
-    warns, then routes through :func:`repro.api.build_system`."""
-
-    def factory(config: Optional[SystemConfig] = None, **kw) -> System:
-        _warn_factory(info.legacy_factory, info.name)
-        from repro.api import build_system
-
-        return build_system(info.name, config=config, **kw)
-
-    factory.__name__ = factory.__qualname__ = info.legacy_factory
-    factory.__doc__ = (
-        f"Deprecated: use ``repro.api.build_system({info.name!r}, ...)``."
-    )
-    return factory
-
-
-#: Deprecated scheme-name -> factory registry, generated from the scheme
-#: registry's ``legacy_factory`` declarations.  Kept so old callers keep
-#: working (each entry warns); new code resolves schemes by name through
-#: :func:`repro.api.build_system`.
-SCHEME_FACTORIES = {}
-for _info in _registry.iter_schemes():
-    if _info.legacy_factory:
-        _factory = _make_legacy_factory(_info)
-        globals()[_info.legacy_factory] = _factory
-        SCHEME_FACTORIES[_info.name] = _factory
-del _info, _factory

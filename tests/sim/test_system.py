@@ -1,6 +1,7 @@
 """Unit tests for system assembly and the construction API
 (repro.sim.system + repro.api)."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -9,7 +10,7 @@ from repro.api import SCHEMES, RunOptions, Scheme, build_system
 from repro.core.bsp import BSP
 from repro.core.persistency import BBBScheme, BEP, EADR, NoPersistency, StrictPMEM
 from repro.obs.bus import NULL_BUS, EventBus
-from repro.sim.system import SCHEME_FACTORIES, System
+from repro.sim.system import System
 from repro.sim.trace import TraceOp
 from tests.conftest import paddr, single_thread_trace
 
@@ -32,6 +33,12 @@ class TestBuildSystem:
         system = build_system("bbb-proc", entries=8, config=small_config)
         assert isinstance(system.scheme, BBBScheme)
         assert not system.scheme.bbb_config.memory_side
+
+    def test_processor_side_coalesce_kwarg(self, small_config):
+        system = build_system("bbb-proc", entries=8, config=small_config,
+                              coalesce_consecutive=False)
+        assert not system.scheme.bbb_config.memory_side
+        assert not system.scheme.bbb_config.proc_coalesce_consecutive
 
     def test_pmem(self, small_config):
         scheme = build_system("pmem", config=small_config).scheme
@@ -81,41 +88,36 @@ class TestBuildSystem:
         assert not system.bus.enabled
 
 
-class TestDeprecatedFactories:
-    """The old per-scheme factories still work, but warn."""
+class TestRemovedShims:
+    """The deprecated per-scheme factories are gone, not just unused."""
 
-    @pytest.mark.parametrize("name", sorted(SCHEME_FACTORIES))
-    def test_every_factory_warns_and_builds(self, small_config, name):
-        with pytest.warns(DeprecationWarning, match="build_system"):
-            system = SCHEME_FACTORIES[name](small_config)
-        assert isinstance(system, System)
+    #: scheme name -> the factory function that used to build it.
+    FACTORIES = {
+        "bbb": "bbb", "bbb-proc": "bbb_processor_side", "eadr": "eadr",
+        "pmem": "pmem_strict", "bsp": "bsp", "bep": "bep",
+        "none": "no_persistency",
+    }
 
-    def test_bbb_shim_forwards_kwargs(self, small_config):
-        from repro.sim.system import bbb
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_factory_name_gone(self, name):
+        import repro
+        import repro.sim.system as system_module
 
-        with pytest.warns(DeprecationWarning):
-            system = bbb(small_config, entries=8, drain_threshold=0.5)
-        assert system.scheme.bbb_config.entries == 8
-        assert system.scheme.bbb_config.drain_threshold == 0.5
+        factory = self.FACTORIES[name]
+        assert not hasattr(system_module, factory)
+        assert factory not in repro.__all__
 
-    def test_processor_side_shim_forwards_kwargs(self, small_config):
-        from repro.sim.system import bbb_processor_side
+    def test_factory_registry_gone(self):
+        import repro.sim.system as system_module
 
-        with pytest.warns(DeprecationWarning):
-            system = bbb_processor_side(
-                small_config, entries=8, coalesce_consecutive=False
-            )
-        assert not system.scheme.bbb_config.memory_side
-        assert not system.scheme.bbb_config.proc_coalesce_consecutive
+        assert not hasattr(system_module, "SCHEME_FACTORIES")
 
-    def test_shim_matches_build_system(self, small_config):
-        from repro.sim.system import bep
+    def test_scheme_info_has_no_legacy_factory(self):
+        from repro.core.registry import SchemeInfo, scheme_info
 
-        with pytest.warns(DeprecationWarning):
-            old = bep(small_config, entries=16)
-        new = build_system("bep", entries=16, config=small_config)
-        assert type(old.scheme) is type(new.scheme)
-        assert old.scheme.entries == new.scheme.entries
+        fields = {f.name for f in dataclasses.fields(SchemeInfo)}
+        assert "legacy_factory" not in fields
+        assert not hasattr(scheme_info("bbb"), "legacy_factory")
 
 
 class TestAssembly:
@@ -155,7 +157,7 @@ class TestAssembly:
         assert not sb0("none").battery_backed
 
     def test_internal_construction_does_not_warn(self, small_config):
-        """build_system must not route through the deprecated shims."""
+        """No scheme's construction path raises a DeprecationWarning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             for name in SCHEMES:

@@ -452,3 +452,40 @@ class TestDrillCommand:
                    "--requests", "20"])
         assert rc == 2
         assert "unknown mutant" in capsys.readouterr().err
+
+
+class TestCommaLists:
+    """Every command parses --schemes/--workloads/--loads the same way:
+    names are stripped, and a bad item is a usage error (exit 2)."""
+
+    #: A cheap spaced-list run per command.
+    SPACED = {
+        "drill": ["drill", "--schemes", "bbb, eadr", "--crashes", "1",
+                  "--requests", "10", "--entries", "8"],
+        "faults": ["faults", "--schemes", "bbb, eadr", "--workloads",
+                   " hashmap", "--random-plans", "0", "--threads", "2",
+                   "--ops", "4", "--elements", "64", "--jobs", "1"],
+        "litmus": ["litmus", "--schemes", "bbb, eadr", "--tests",
+                   "prefix-pair", "--no-mutants", "--jobs", "1"],
+        "opt": ["opt", "--compare", "--schemes", "bbb, eadr", "--workloads",
+                "hashmap ", "--threads", "2", "--ops", "3", "--elements",
+                "64", "--jobs", "1"],
+        "traffic": ["traffic", "--schemes", "bbb, eadr", "--loads",
+                    "1.0, 2.0", "--requests", "10", "--tenants", "1",
+                    "--keys", "64"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SPACED))
+    def test_spaced_list_accepted(self, capsys, command):
+        assert main(self.SPACED[command]) == 0
+
+    @pytest.mark.parametrize("command", ["drill", "traffic"])
+    def test_bad_load_is_usage_error(self, capsys, command):
+        assert main([command, "--loads", "abc"]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not convert string to float: 'abc'\n"
+        )
+
+    def test_empty_list_is_usage_error(self, capsys):
+        assert main(["traffic", "--schemes", " , "]) == 2
+        assert capsys.readouterr().err.startswith("error: empty list")
