@@ -10,7 +10,8 @@ obligation scales with cache dirtiness while BBB's is bounded by
 
 from repro.analysis.experiments import default_sim_config
 from repro.analysis.tables import render_table
-from repro.api import build_system
+from repro.api import RunOptions, build_system
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.workloads.base import registry
 
 WORKLOADS = ("swapNC", "hashmap", "rtree")
@@ -22,12 +23,16 @@ def test_crash_drain_footprint(benchmark, report, sim_config, sweep_spec):
         for name in WORKLOADS:
             trace = registry(sim_config.mem, sweep_spec)[name].build()
             crash_at = trace.total_ops() // 2
+            crash = RunOptions(crash_schedule=CrashSchedule(
+                stop_at=crash_at, sites=(SITE_OP,)))
 
-            e_sys = build_system("eadr", config=sim_config)
-            e_res = e_sys.run(trace, crash_at_op=crash_at)
+            e_sys = build_system("eadr", config=sim_config,
+                                 options=crash)
+            e_res = e_sys.run(trace)
 
-            b_sys = build_system("bbb", entries=32, config=sim_config)
-            b_res = b_sys.run(trace, crash_at_op=crash_at)
+            b_sys = build_system("bbb", entries=32, config=sim_config,
+                                 options=crash)
+            b_res = b_sys.run(trace)
 
             bound = sim_config.num_cores * 32
             rows.append(

@@ -17,8 +17,9 @@ program under three designs and try to recover:
 Run:  python examples/linked_list_crash.py
 """
 
-from repro import SystemConfig, WorkloadSpec, build_system
-from repro.sim.crash import CrashInjector
+from repro import RunOptions, SystemConfig, WorkloadSpec, build_system
+from repro.check.kernel import count_points, crash_runs
+from repro.check.schedule import SITE_OP
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
 from repro.workloads.linkedlist import LinkedListAppend
 
@@ -52,37 +53,49 @@ def build_trace(config, barriers: bool):
 
 
 def sweep(config, scheme, barriers: bool):
+    """Crash after every op: count the op boundaries once, then let the
+    crash-exploration kernel fork one crashed machine per boundary.
+    Returns ``(points, inconsistent)`` with ``(op, violations)`` pairs."""
     workload, trace = build_trace(config, barriers)
-    checker_fn = workload.make_checker()
+    checker = workload.make_checker()
 
-    def checker(system, result):
-        return checker_fn(system, result)
-
-    def factory():
-        system = build_system(scheme, config=config)
+    def build(schedule):
+        system = build_system(scheme, config=config,
+                              options=RunOptions(crash_schedule=schedule))
         workload.seed_media(system.nvmm_media)
         return system
 
-    injector = CrashInjector(factory, trace, checker)
-    return injector.sweep()
+    sites = (SITE_OP,)
+    profile = count_points(build, trace, sites)
+    points = range(1, profile.total + 1)
+    inconsistent = []
+    for run in crash_runs(build, trace, points, profile, sites):
+        consistent, violations = checker(run.system, run.result)
+        if not consistent:
+            inconsistent.append((run.point, violations))
+    return len(points), inconsistent
+
+
+def summary(points, inconsistent):
+    bad = len(inconsistent)
+    return (f"{points} crash points, {points - bad} consistent, "
+            f"{bad} inconsistent")
 
 
 def main() -> None:
     config = SystemConfig(num_cores=2).scaled_for_testing()
 
     print("Figure 2 code (no flushes/fences), volatile caches + ADR:")
-    report = sweep(config, "none", barriers=False)
-    print(f"  {report.summary()}")
-    for outcome in report.inconsistent[:3]:
-        print(f"  crash after op {outcome.crash_op}: {outcome.violations[0]}")
+    points, inconsistent = sweep(config, "none", barriers=False)
+    print(f"  {summary(points, inconsistent)}")
+    for op, violations in inconsistent[:3]:
+        print(f"  crash after op {op}: {violations[0]}")
 
     print("\nFigure 2 code (no flushes/fences), BBB:")
-    report = sweep(config, "bbb", barriers=False)
-    print(f"  {report.summary()}")
+    print(f"  {summary(*sweep(config, 'bbb', barriers=False))}")
 
     print("\nFigure 3 code (explicit writeBack + persistBarrier), ADR only:")
-    report = sweep(config, "none", barriers=True)
-    print(f"  {report.summary()}")
+    print(f"  {summary(*sweep(config, 'none', barriers=True))}")
 
     print(
         "\nBBB makes the *plain* code safe: the store that publishes the\n"

@@ -21,6 +21,7 @@ Run:  python examples/relaxed_consistency.py
 import dataclasses
 
 from repro import SystemConfig, BBBConfig, BBBScheme, System, ConsistencyModel
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.recovery import check_exact_durability
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
 
@@ -41,9 +42,10 @@ def sweep(config, label):
     first_violation = None
     for crash_at in range(1, trace.total_ops() + 1):
         for seed in range(3):
+            schedule = CrashSchedule(stop_at=crash_at, sites=(SITE_OP,))
             system = System(config, BBBScheme(BBBConfig(entries=64)),
-                            reorder_seed=seed)
-            result = system.run(trace, crash_at_op=crash_at)
+                            reorder_seed=seed, crash_schedule=schedule)
+            result = system.run(trace)
             check = check_exact_durability(
                 system.nvmm_media, result.committed_persists
             )

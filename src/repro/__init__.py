@@ -56,7 +56,6 @@ from repro.sim.config import (
     SystemConfig,
     TABLE_III_CONFIG,
 )
-from repro.sim.crash import CrashInjector, CrashSweepReport
 from repro.sim.engine import Engine, PersistRecord, RunResult
 from repro.sim.stats import SimStats
 from repro.sim.system import System
@@ -114,8 +113,6 @@ __all__ = [
     "RunResult",
     "PersistRecord",
     "SimStats",
-    "CrashInjector",
-    "CrashSweepReport",
     # traces & workloads
     "FlatMemory",
     "LogRecord",

@@ -1,12 +1,13 @@
 """The crash-exploration kernel: step, snapshot, crash, compare.
 
 Every crash-state consumer — the model checker, counterexample
-minimization, the optimizer's final-image and litmus sweeps, and the
-litmus battery — asks the same question: *what does the machine look
-like after a crash at micro-step visit ``k``*, for many ``k`` of one
-trace.  The kernel answers it in two passes instead of one replay per
-point (the explicit-state view of persistency, as in Khyzha & Lahav's
-Px86 semantics):
+minimization, the optimizer's final-image and litmus sweeps, the litmus
+battery, and the op-boundary sweep of ``repro crash`` (``sites=(SITE_OP,)``)
+— asks the same question: *what does the machine look like after a crash
+at micro-step visit ``k``*, for many ``k`` of one trace.  The kernel
+answers it in two passes instead of one replay per point (the
+explicit-state view of persistency, as in Khyzha & Lahav's Px86
+semantics):
 
 1. a *counting pass* runs the trace once under an unbounded
    :class:`~repro.check.schedule.CrashSchedule` and records the visit
@@ -365,6 +366,11 @@ class _BoundarySchedule(CrashSchedule):
         CrashSchedule.reached(self, site, cycle, addr)
         if site == SITE_OP:
             self.boundaries.append(self.visits)
+
+    def skip_ops(self, n: int) -> None:
+        start = self.visits
+        CrashSchedule.skip_ops(self, n)
+        self.boundaries.extend(range(start + 1, self.visits + 1))
 
 
 def count_points(build: Build, trace,

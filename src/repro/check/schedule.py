@@ -8,8 +8,8 @@ allocation, mid-drain, mid-WPQ flush).  This module provides the hook
 vocabulary the simulator exposes for that.
 
 A :class:`CrashSchedule` is threaded through the system (``build_system(
-..., crash_schedule=...)``) and every instrumented site calls
-:meth:`CrashSchedule.reached` as execution passes it.  The schedule counts
+..., options=RunOptions(crash_schedule=...))``) and every instrumented
+site calls :meth:`CrashSchedule.reached` as execution passes it.  The schedule counts
 *visits*; when the configured ``stop_at``-th visit arrives it raises
 :class:`CrashNow`, which the engine converts into a crash (battery drain +
 volatile-state loss) exactly as if power failed at that micro-step.
@@ -32,6 +32,7 @@ run without a schedule executes the identical instruction stream.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -64,6 +65,8 @@ SITE_WPQ = "wpq.flush"
 
 #: Every instrumented site, in pipeline order.
 ALL_SITES = (SITE_OP, SITE_POV, SITE_DRAIN, SITE_FORCED_DRAIN, SITE_WPQ)
+
+_OP_BOUNDARIES_ONLY = frozenset((SITE_OP,))
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,24 @@ class CrashSchedule:
         if self.stop_at is not None and self.visits >= self.stop_at:
             self.fired = FiredPoint(self.visits, site, cycle, addr)
             raise CrashNow(self.fired)
+
+    def quiet_ops(self) -> int:
+        """How many upcoming op boundaries the engine may count in bulk
+        with :meth:`skip_ops` instead of reporting each to :meth:`reached`:
+        all those before the firing one, when op boundaries are the only
+        visits this schedule counts; none otherwise (their indices then
+        interleave with other sites')."""
+        if self.sites != _OP_BOUNDARIES_ONLY:
+            return 0
+        if self.stop_at is None:
+            return sys.maxsize
+        return max(0, self.stop_at - self.visits - 1)
+
+    def skip_ops(self, n: int) -> None:
+        """Count ``n`` op-boundary visits allowed by :meth:`quiet_ops`."""
+        if n:
+            self.visits += n
+            self.site_counts[SITE_OP] = self.site_counts.get(SITE_OP, 0) + n
 
 
 class _NullSchedule:

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 from typing import List, Optional
 
@@ -86,8 +87,7 @@ from repro.core.recovery import check_prefix_consistency
 from repro.energy import battery, model
 from repro.energy.platforms import MOBILE, SERVER
 from repro.obs.bus import NULL_BUS, EventBus, EventRecorder
-from repro.sim.crash import CrashInjector
-from repro.sim.system import SYSTEM_MODES, System
+from repro.sim.system import SYSTEM_MODES
 from repro.sim.tracefile import save_trace
 from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
 
@@ -128,14 +128,6 @@ def _add_batch_args(parser: argparse.ArgumentParser, noun: str) -> None:
 def _spec(args) -> WorkloadSpec:
     return WorkloadSpec(
         threads=args.threads, ops=args.ops, elements=args.elements, seed=args.seed
-    )
-
-
-def _make_system(scheme: str, entries: int, bus: EventBus = NULL_BUS,
-                 mode: str = "auto") -> System:
-    return build_system(
-        scheme, entries=entries, config=default_sim_config(),
-        options=RunOptions(bus=bus, mode=mode),
     )
 
 
@@ -253,8 +245,10 @@ def cmd_run(args) -> int:
     workload = registry(config.mem, spec)[args.workload]
     trace = workload.build()
     bus, recorder = _observability(args)
-    system = _make_system(args.scheme, args.entries, bus=bus,
-                          mode=getattr(args, "mode", "auto"))
+    system = build_system(
+        args.scheme, entries=args.entries, config=config,
+        options=RunOptions(bus=bus, mode=getattr(args, "mode", "auto")),
+    )
     workload.seed_media(system.nvmm_media)
     result = system.run(trace, finalize=not args.no_finalize)
     stats = result.stats
@@ -343,9 +337,13 @@ def cmd_profile(args) -> int:
 
 
 def cmd_crash(args) -> int:
+    from repro.check.kernel import count_points, crash_runs
+    from repro.check.schedule import SITE_OP
+
+    if args.sample < 1:
+        raise _UsageError(f"--sample must be at least 1, got {args.sample}")
     config = default_sim_config()
-    spec = _spec(args)
-    workload = registry(config.mem, spec)[args.workload]
+    workload = registry(config.mem, _spec(args))[args.workload]
     trace = workload.build()
     structural = workload.make_checker()
 
@@ -358,17 +356,30 @@ def cmd_crash(args) -> int:
         )
         return (ok and prefix.consistent, list(violations) + prefix.violations)
 
-    def factory():
-        system = _make_system(args.scheme, args.entries)
+    def build(schedule):
+        system = build_system(args.scheme, entries=args.entries, config=config,
+                              options=RunOptions(crash_schedule=schedule))
         workload.seed_media(system.nvmm_media)
         return system
 
-    injector = CrashInjector(factory, trace, checker)
-    report = injector.sweep(sample=args.sample, seed=args.seed)
-    print(f"{args.workload} under {args.scheme}: {report.summary()}")
-    for outcome in report.inconsistent[: args.show]:
-        print(f"  crash after op {outcome.crash_op}: {outcome.violations[0]}")
-    return 0 if report.all_consistent else 1
+    # Op-boundary crash points 1..N: all of them, or a sorted sample drawn
+    # from a generator seeded by --seed (never the module-global one).
+    sites = (SITE_OP,)
+    profile = count_points(build, trace, sites)
+    points = list(range(1, profile.total + 1))
+    if args.sample < len(points):
+        points = sorted(random.Random(args.seed).sample(points, args.sample))
+    inconsistent = []
+    for run in crash_runs(build, trace, points, profile, sites):
+        consistent, violations = checker(run.system, run.result)
+        if not consistent:
+            inconsistent.append((run.point, violations))
+    bad = len(inconsistent)
+    print(f"{args.workload} under {args.scheme}: {len(points)} crash points, "
+          f"{len(points) - bad} consistent, {bad} inconsistent")
+    for point, violations in inconsistent[: args.show]:
+        print(f"  crash after op {point}: {violations[0]}")
+    return 1 if inconsistent else 0
 
 
 def cmd_energy(args) -> int:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.batch import BatchPolicy, Progress, run_tasks
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.recovery import (
     CONTRACT_DOCS,
     Outcome,
@@ -41,7 +42,7 @@ from repro.core.recovery import (
     classify_outcome,
 )
 from repro.core.registry import scheme_info
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import NULL_INJECTOR, FaultInjector
 from repro.fault.plan import (
     BATTERY_DOMAIN_SITES,
     FaultPlan,
@@ -152,20 +153,22 @@ def execute_fault_unit(unit: FaultUnit) -> Dict[str, Any]:
     trace, initial_words = build_cached(unit.workload, cfg.mem, unit.spec)
     crash_at = min(unit.crash_at, max(1, trace.total_ops() - 1))
 
-    def crashed_run(injector: Optional[FaultInjector]):
-        options = (RunOptions(fault_injector=injector)
-                   if injector is not None else RunOptions())
+    def crashed_run(injector):
+        options = RunOptions(
+            fault_injector=injector,
+            crash_schedule=CrashSchedule(stop_at=crash_at, sites=(SITE_OP,)),
+        )
         system = build_system(unit.scheme, entries=unit.entries, config=cfg,
                               options=options)
         seed_media_words(system.nvmm_media, initial_words)
-        result = system.run(trace, crash_at_op=crash_at, finalize=False)
+        result = system.run(trace, finalize=False)
         contract = check_scheme_contract(
             unit.scheme, system.nvmm_media, result.committed_persists,
             cfg.block_size,
         )
         return contract
 
-    baseline = crashed_run(None)
+    baseline = crashed_run(NULL_INJECTOR)
     injector = FaultInjector(unit.plan)
     contract = crashed_run(injector)
     outcome = classify_outcome(

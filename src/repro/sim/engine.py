@@ -73,8 +73,7 @@ class RunResult:
     committed_persists: List[PersistRecord] = field(default_factory=list)
     performed_persists: List[PersistRecord] = field(default_factory=list)
     drain_report: Optional[DrainReport] = None
-    #: Micro-step crash point that fired (crash-schedule runs only; None
-    #: for op-boundary crashes requested via ``crash_at_op``).
+    #: The crash-schedule visit that fired; set on every crash.
     crash_point: Optional[FiredPoint] = None
     #: Architectural execution log (populated when Engine(log=True)) — the
     #: exact order operations took effect, for differential testing
@@ -122,14 +121,10 @@ class Engine:
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
-    def run(
-        self,
-        trace: ProgramTrace,
-        crash_at_op: Optional[int] = None,
-        finalize: bool = True,
-    ) -> RunResult:
-        """Execute ``trace``; optionally crash after ``crash_at_op`` globally
-        executed operations.
+    def run(self, trace: ProgramTrace, finalize: bool = True) -> RunResult:
+        """Execute ``trace``, crashing where the hierarchy's crash schedule
+        fires (an op-boundary crash after ``k`` ops is
+        ``CrashSchedule(stop_at=k, sites=(SITE_OP,))``).
 
         On a crash, the active persistency scheme's battery drains whatever
         it covers and the volatile state is lost; ``finalize`` is ignored.
@@ -143,15 +138,7 @@ class Engine:
         in the order of a min-heap over ``(clock, core)``.
         """
         cursor = RunCursor(self, trace)
-        if crash_at_op is None:
-            cursor.step()
-        else:
-            cursor.step(max(crash_at_op, 1))
-            result = cursor.result
-            executed = cursor.executed
-            if not result.crashed and executed and executed >= crash_at_op:
-                result.crashed = True
-                result.crash_op = executed
+        cursor.step()
         return cursor.finish(finalize)
 
     def _epilogue(
@@ -475,18 +462,34 @@ class RunCursor:
 
     def step(self, until: Optional[int] = None) -> None:
         """Execute ops until ``executed`` reaches ``until`` (``None``: the
-        end of the trace) or a scheduled crash fires."""
-        engine = self.engine
-        schedule = engine.hierarchy.crash_schedule
-        schedule_on = schedule.enabled
-        execute = engine._execute
+        end of the trace) or a scheduled crash fires.
+
+        Op boundaries the crash schedule would only count (see
+        :meth:`~repro.check.schedule.CrashSchedule.quiet_ops`) run without
+        a per-op ``reached`` call and are counted in one
+        :meth:`~repro.check.schedule.CrashSchedule.skip_ops`."""
+        limit = sys.maxsize if until is None else until
+        schedule = self.engine.hierarchy.crash_schedule
+        if not schedule.enabled:
+            self._run(limit, None)
+            return
+        quiet = schedule.quiet_ops()
+        if quiet:
+            before = self.executed
+            self._run(min(limit, before + quiet), None)
+            schedule.skip_ops(self.executed - before)
+        self._run(limit, schedule)
+
+    def _run(self, limit: int, schedule) -> None:
+        """The per-op loop, up to ``limit`` executed ops; ``schedule``
+        (``None``: unobserved) sees every op boundary."""
+        execute = self.engine._execute
         result = self.result
         heap = self.heap
         indices = self.indices
         clocks = self.clocks
         flush_outstanding = self.flush_outstanding
         ops_per_core = [t.ops for t in self.trace.threads]
-        limit = sys.maxsize if until is None else until
         executed = self.executed
         while heap and executed < limit:
             clock, core = heapq.heappop(heap)
@@ -498,7 +501,7 @@ class RunCursor:
                                 flush_outstanding[core])
                 clocks[core] = clock
                 executed += 1
-                if schedule_on:
+                if schedule is not None:
                     schedule.reached(SITE_OP, clock)
             except CrashNow as crash:
                 # A scheduled micro-step crash fired inside (or right

@@ -51,6 +51,13 @@ class System:
                 f"unknown system mode {mode!r}; expected one of "
                 f"{', '.join(SYSTEM_MODES)}"
             )
+        if mode == "analytical" and (crash_schedule.enabled
+                                     or fault_injector.enabled):
+            raise ValueError(
+                "analytical mode cannot crash or inject faults mid-run (an "
+                "estimate has no architectural crash point); use a discrete "
+                "engine mode for crash-consistency and fault experiments"
+            )
         self.config = config or SystemConfig()
         self.scheme = scheme or BBBScheme()
         self.mode = mode
@@ -67,29 +74,17 @@ class System:
                                          crash_schedule=crash_schedule)
         self.engine = Engine(self.hierarchy, reorder_seed=reorder_seed)
 
-    def run(
-        self,
-        trace: ProgramTrace,
-        crash_at_op: Optional[int] = None,
-        finalize: bool = True,
-    ) -> RunResult:
-        """Execute ``trace`` to completion, or crash after ``crash_at_op``
-        globally interleaved operations.  A ``System`` is single-shot: build
-        a fresh one per run.
+    def run(self, trace: ProgramTrace, finalize: bool = True) -> RunResult:
+        """Execute ``trace`` to completion, or until the crash schedule
+        fires.  A ``System`` is single-shot: build a fresh one per run.
 
         In ``mode="analytical"`` no discrete simulation happens: the stats
-        are filled from the closed-form model (crash runs are not supported
-        there — an estimate has no architectural crash point)."""
+        are filled from the closed-form model."""
         if self.mode == "analytical":
-            if crash_at_op is not None:
-                raise ValueError(
-                    "analytical mode cannot crash mid-run; use a discrete "
-                    "engine mode for crash-consistency experiments"
-                )
             from repro.analysis.analytical import run_analytical
 
             return run_analytical(self, trace, finalize=finalize)
-        return self.engine.run(trace, crash_at_op=crash_at_op, finalize=finalize)
+        return self.engine.run(trace, finalize=finalize)
 
     def stream(self) -> EngineStream:
         """Open a streaming ingestion session (see

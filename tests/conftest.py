@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RunOptions
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.sim.config import (
     BBBConfig,
     CacheConfig,
@@ -43,6 +45,14 @@ def paddr(config: SystemConfig, block: int, offset: int = 0) -> int:
 def daddr(config: SystemConfig, block: int, offset: int = 0) -> int:
     """A DRAM (volatile) address."""
     return 4096 + block * config.block_size + offset
+
+
+def crash_after(ops: int, **options) -> RunOptions:
+    """Run wiring that crashes at the op boundary after ``ops`` executed
+    ops; ``options`` are further :class:`RunOptions` fields."""
+    return RunOptions(
+        crash_schedule=CrashSchedule(stop_at=ops, sites=(SITE_OP,)), **options
+    )
 
 
 def single_thread_trace(*ops: TraceOp) -> ProgramTrace:

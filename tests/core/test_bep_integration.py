@@ -12,7 +12,7 @@ import pytest
 from repro.core.recovery import check_epoch_consistency
 from repro.api import build_system
 from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp
-from tests.conftest import paddr, single_thread_trace
+from tests.conftest import crash_after, paddr, single_thread_trace
 
 
 def epoch_program(config, epochs=6, stores_per_epoch=4):
@@ -53,8 +53,9 @@ class TestEpochConsistencyUnderBEP:
         trace, groups = epoch_program(small_config)
         epochs = to_persist_records(groups)
         for crash_at in range(1, trace.total_ops() + 1):
-            system = build_system("bep", config=small_config, entries=8)
-            system.run(trace, crash_at_op=crash_at)
+            system = build_system("bep", config=small_config, entries=8,
+                                  options=crash_after(crash_at))
+            system.run(trace)
             check = check_epoch_consistency(system.nvmm_media, epochs)
             assert check, (crash_at, check.violations)
 
@@ -71,8 +72,9 @@ class TestEpochConsistencyUnderBEP:
         fully durable (the boundary stalls until it drains)."""
         trace, groups = epoch_program(small_config, epochs=2, stores_per_epoch=3)
         # Crash immediately after the first EPOCH op (op index 4 -> 1-based).
-        system = build_system("bep", config=small_config)
-        system.run(trace, crash_at_op=4)
+        system = build_system("bep", config=small_config,
+                              options=crash_after(4))
+        system.run(trace)
         for addr, value in groups[0]:
             assert system.nvmm_media.read_word(addr, 8) == value
         # Nothing from epoch 1 can be durable yet.

@@ -6,7 +6,7 @@ from repro.core.persistency import table1_rows
 from repro.sim.config import ConsistencyModel, SystemConfig
 from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
-from tests.conftest import paddr, single_thread_trace
+from tests.conftest import crash_after, paddr, single_thread_trace
 
 
 def store_trace(config, n, stride_blocks=1):
@@ -24,8 +24,9 @@ class TestEADR:
         assert result.stats.nvmm_writes == 0  # nothing evicted yet
 
     def test_crash_drain_persists_all_dirty_blocks(self, small_config):
-        system = build_system("eadr", config=small_config)
-        result = system.run(store_trace(small_config, 10), crash_at_op=10)
+        system = build_system("eadr", config=small_config,
+                              options=crash_after(10))
+        result = system.run(store_trace(small_config, 10))
         assert result.crashed
         assert result.drain_report.cache_blocks >= 10
         for i in range(10):
@@ -67,8 +68,9 @@ class TestStrictPMEM:
         assert r_slow.execution_cycles > r_fast.execution_cycles * 1.5
 
     def test_durable_immediately_after_each_store(self, small_config):
-        system = build_system("pmem", config=small_config)
-        system.run(store_trace(small_config, 5), crash_at_op=5)
+        system = build_system("pmem", config=small_config,
+                              options=crash_after(5))
+        system.run(store_trace(small_config, 5))
         for i in range(5):
             assert system.nvmm_media.read_word(paddr(small_config, i), 8) == i + 1
 
@@ -104,8 +106,9 @@ class TestBBBFactories:
         assert result.stats.bbpb_coalesces == 2
 
     def test_crash_drains_bbpb_to_media(self, small_config):
-        system = build_system("bbb", config=small_config, entries=64)
-        result = system.run(store_trace(small_config, 10), crash_at_op=10)
+        system = build_system("bbb", config=small_config, entries=64,
+                              options=crash_after(10))
+        result = system.run(store_trace(small_config, 10))
         assert result.drain_report.bbpb_blocks == 10
         for i in range(10):
             assert system.nvmm_media.read_word(paddr(small_config, i), 8) == i + 1
@@ -153,9 +156,10 @@ class TestBEP:
         assert system.nvmm_media.read_word(paddr(small_config, 0), 8) == 1
 
     def test_crash_loses_volatile_buffer(self, small_config):
-        system = build_system("bep", config=small_config)
+        system = build_system("bep", config=small_config,
+                              options=crash_after(1))
         ops = [TraceOp.store(paddr(small_config, 0), 1)]
-        result = system.run(single_thread_trace(*ops), crash_at_op=1)
+        result = system.run(single_thread_trace(*ops))
         assert result.drain_report.total_units == 0
         assert system.nvmm_media.read_word(paddr(small_config, 0), 8) == 0
 
@@ -177,8 +181,9 @@ class TestNoPersistency:
         assert system.nvmm_media.total_writes == 0
 
     def test_crash_drains_nothing(self, small_config):
-        system = build_system("none", config=small_config)
-        result = system.run(store_trace(small_config, 5), crash_at_op=5)
+        system = build_system("none", config=small_config,
+                              options=crash_after(5))
+        result = system.run(store_trace(small_config, 5))
         assert result.drain_report.total_units == 0
 
 

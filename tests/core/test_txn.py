@@ -14,7 +14,7 @@ from repro.core.txn import RecoveryResult, TransactionContext, recover
 from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
 from repro.workloads.alloc import PersistentHeap
-from tests.conftest import conflict_addresses
+from tests.conftest import conflict_addresses, crash_after
 
 
 ACCOUNTS = 6
@@ -100,9 +100,10 @@ class TestAtomicityUnderBBB:
         ctx, accounts, trace = build_bank(small_config, transfers=6)
         seeds = ctx.initial_words()
         for crash_at in range(1, trace.total_ops() + 1, 3):
-            system = build_system(scheme, config=small_config)
+            system = build_system(scheme, config=small_config,
+                                  options=crash_after(crash_at))
             _seed(system, seeds)
-            system.run(trace, crash_at_op=crash_at)
+            system.run(trace)
             total, result = recovered_total(system, ctx, accounts)
             assert total == ACCOUNTS * INITIAL, (crash_at, result.state)
 
@@ -114,9 +115,10 @@ class TestAtomicityUnderBBB:
         ops = list(trace.threads[0])
         data_indices = [i for i, op in enumerate(ops) if op.tag == "txn-data"]
         crash_at = data_indices[2] + 1  # first data store of txn 2
-        system = build_system("bbb", config=small_config)
+        system = build_system("bbb", config=small_config,
+                              options=crash_after(crash_at))
         _seed(system, seeds)
-        system.run(ProgramTrace([ThreadTrace(ops)]), crash_at_op=crash_at)
+        system.run(ProgramTrace([ThreadTrace(ops)]))
         total, result = recovered_total(system, ctx, accounts)
         assert result.rolled_back >= 1
         assert total == ACCOUNTS * INITIAL
@@ -143,9 +145,10 @@ class TestTornWithoutOrdering:
         ops.extend(ctx.commit())
         torn = False
         for crash_at in range(1, len(ops) + 1):
-            system = build_system("none", config=small_config)
+            system = build_system("none", config=small_config,
+                                  options=crash_after(crash_at))
             _seed(system, seeds)
-            system.run(ProgramTrace([ThreadTrace(ops)]), crash_at_op=crash_at)
+            system.run(ProgramTrace([ThreadTrace(ops)]))
             total, _ = recovered_total(system, ctx, accounts)
             if total != ACCOUNTS * INITIAL:
                 torn = True
@@ -167,9 +170,10 @@ class TestTornWithoutOrdering:
         ops.extend(ctx.txn_store(accounts[1], INITIAL + 25))
         ops.extend(ctx.commit())
         for crash_at in range(1, len(ops) + 1):
-            system = build_system("bbb", config=small_config)
+            system = build_system("bbb", config=small_config,
+                                  options=crash_after(crash_at))
             _seed(system, seeds)
-            system.run(ProgramTrace([ThreadTrace(ops)]), crash_at_op=crash_at)
+            system.run(ProgramTrace([ThreadTrace(ops)]))
             total, result = recovered_total(system, ctx, accounts)
             assert total == ACCOUNTS * INITIAL, (crash_at, result.state)
 
@@ -179,9 +183,10 @@ class TestTornWithoutOrdering:
         ctx, accounts, trace = build_bank(small_config, transfers=4, barriers=True)
         seeds = ctx.initial_words()
         for crash_at in range(1, trace.total_ops() + 1, 5):
-            system = build_system("none", config=small_config)
+            system = build_system("none", config=small_config,
+                                  options=crash_after(crash_at))
             _seed(system, seeds)
-            system.run(trace, crash_at_op=crash_at)
+            system.run(trace)
             total, result = recovered_total(system, ctx, accounts)
             assert total == ACCOUNTS * INITIAL, (crash_at, result.state)
 

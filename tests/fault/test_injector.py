@@ -1,7 +1,7 @@
 """Per-site injector behaviour and end-to-end fault semantics on a live
 system."""
 
-from repro.api import RunOptions, build_system
+from repro.api import build_system
 from repro.core.recovery import (
     Outcome,
     check_exact_durability,
@@ -23,6 +23,7 @@ from repro.obs.bus import EventBus, EventRecorder
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SimStats
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
+from tests.conftest import crash_after
 
 CFG = SystemConfig(num_cores=2).scaled_for_testing()
 
@@ -253,8 +254,9 @@ def test_battery_exhaustion_mid_drain_is_detected_inconsistent():
     ))
     injector = FaultInjector(plan)
     system = build_system("bbb", config=CFG, entries=32,
-                          options=RunOptions(fault_injector=injector))
-    result = system.run(trace, crash_at_op=trace.total_ops())
+                          options=crash_after(trace.total_ops(),
+                                              fault_injector=injector))
+    result = system.run(trace)
     contract = check_exact_durability(
         system.nvmm_media, result.committed_persists
     )
@@ -274,8 +276,9 @@ def test_brownout_disabled_battery_loss_is_silent():
     ))
     injector = FaultInjector(plan)
     system = build_system("bbb", config=CFG, entries=32,
-                          options=RunOptions(fault_injector=injector))
-    result = system.run(trace, crash_at_op=trace.total_ops())
+                          options=crash_after(trace.total_ops(),
+                                              fault_injector=injector))
+    result = system.run(trace)
     contract = check_exact_durability(
         system.nvmm_media, result.committed_persists
     )
@@ -291,8 +294,9 @@ def test_enabled_injector_with_empty_plan_is_bit_identical():
 
     def run(injector):
         system = build_system("bbb", config=CFG, entries=8,
-                              options=RunOptions(fault_injector=injector))
-        result = system.run(trace, crash_at_op=trace.total_ops())
+                              options=crash_after(trace.total_ops(),
+                                                  fault_injector=injector))
+        result = system.run(trace)
         return result.stats.to_dict(), system.nvmm_media
 
     base_stats, base_media = run(NULL_INJECTOR)
@@ -316,8 +320,9 @@ def test_fault_events_reach_the_system_bus():
     bus = EventBus()
     recorder = EventRecorder(bus)
     system = build_system("bbb", config=CFG, entries=32,
-                          options=RunOptions(bus=bus, fault_injector=injector))
-    system.run(trace, crash_at_op=trace.total_ops())
+                          options=crash_after(trace.total_ops(), bus=bus,
+                                              fault_injector=injector))
+    system.run(trace)
     kinds = {e.kind for e in recorder.events}
     assert "fault_injected" in kinds
     assert "fault_detected" in kinds

@@ -14,6 +14,7 @@ from repro.core.recovery import check_exact_durability, check_prefix_consistency
 from repro.sim.config import SystemConfig
 from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
+from tests.conftest import crash_after
 
 CFG = SystemConfig(num_cores=2).scaled_for_testing()
 
@@ -44,8 +45,9 @@ def test_bsp_crash_state_is_a_prefix(threads, data):
         st.integers(min_value=1, max_value=trace.total_ops()), label="crash_at"
     )
     entries = data.draw(st.sampled_from([2, 4, 8, 32]), label="entries")
-    system = build_system("bsp", config=CFG, entries=entries)
-    result = system.run(trace, crash_at_op=crash_at)
+    system = build_system("bsp", config=CFG, entries=entries,
+                          options=crash_after(crash_at))
+    result = system.run(trace)
     check = check_prefix_consistency(system.nvmm_media, result.committed_persists)
     assert check, check.violations
 
@@ -57,8 +59,9 @@ def test_bsp_does_lose_buffered_stores_somewhere():
     trace = build(threads)
     lost_somewhere = False
     for crash_at in range(1, trace.total_ops() + 1):
-        system = build_system("bsp", config=CFG, entries=8)
-        result = system.run(trace, crash_at_op=crash_at)
+        system = build_system("bsp", config=CFG, entries=8,
+                              options=crash_after(crash_at))
+        result = system.run(trace)
         if not check_exact_durability(system.nvmm_media, result.committed_persists):
             lost_somewhere = True
             break

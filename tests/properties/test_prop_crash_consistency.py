@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from repro.core.invariants import check_all
 from repro.core.recovery import check_exact_durability
 from repro.sim.config import ConsistencyModel, SystemConfig
-from repro.api import RunOptions, build_system
+from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
+from tests.conftest import crash_after
 
 CFG = SystemConfig(num_cores=2).scaled_for_testing()
 
@@ -53,8 +54,9 @@ def test_bbb_crash_recovers_exact_committed_state(threads, data):
         st.integers(min_value=1, max_value=trace.total_ops()), label="crash_at"
     )
     entries = data.draw(st.sampled_from([1, 2, 8, 32]), label="entries")
-    system = build_system("bbb", config=CFG, entries=entries)
-    result = system.run(trace, crash_at_op=crash_at)
+    system = build_system("bbb", config=CFG, entries=entries,
+                          options=crash_after(crash_at))
+    result = system.run(trace)
     check = check_exact_durability(system.nvmm_media, result.committed_persists)
     assert check, check.violations
 
@@ -66,8 +68,9 @@ def test_processor_side_bbb_also_exact(threads, data):
     crash_at = data.draw(
         st.integers(min_value=1, max_value=trace.total_ops()), label="crash_at"
     )
-    system = build_system("bbb-proc", config=CFG, entries=8)
-    result = system.run(trace, crash_at_op=crash_at)
+    system = build_system("bbb-proc", config=CFG, entries=8,
+                          options=crash_after(crash_at))
+    result = system.run(trace)
     check = check_exact_durability(system.nvmm_media, result.committed_persists)
     assert check, check.violations
 
@@ -79,8 +82,8 @@ def test_eadr_crash_recovers_exact_committed_state(threads, data):
     crash_at = data.draw(
         st.integers(min_value=1, max_value=trace.total_ops()), label="crash_at"
     )
-    system = build_system("eadr", config=CFG)
-    result = system.run(trace, crash_at_op=crash_at)
+    system = build_system("eadr", config=CFG, options=crash_after(crash_at))
+    result = system.run(trace)
     check = check_exact_durability(system.nvmm_media, result.committed_persists)
     assert check, check.violations
 
@@ -92,8 +95,8 @@ def test_pmem_strict_crash_recovers_exact_committed_state(threads, data):
     crash_at = data.draw(
         st.integers(min_value=1, max_value=trace.total_ops()), label="crash_at"
     )
-    system = build_system("pmem", config=CFG)
-    result = system.run(trace, crash_at_op=crash_at)
+    system = build_system("pmem", config=CFG, options=crash_after(crash_at))
+    result = system.run(trace)
     check = check_exact_durability(system.nvmm_media, result.committed_persists)
     assert check, check.violations
 
@@ -143,7 +146,7 @@ def test_relaxed_bbb_with_battery_sb_exact(threads, data):
     )
     seed = data.draw(st.integers(min_value=0, max_value=99), label="seed")
     system = build_system("bbb", config=cfg, entries=16,
-                          options=RunOptions(reorder_seed=seed))
-    result = system.run(trace, crash_at_op=crash_at)
+                          options=crash_after(crash_at, reorder_seed=seed))
+    result = system.run(trace)
     check = check_exact_durability(system.nvmm_media, result.committed_persists)
     assert check, check.violations

@@ -2,6 +2,8 @@
 (repro.sim.system + repro.api)."""
 
 import dataclasses
+import inspect
+import pkgutil
 import warnings
 
 import pytest
@@ -10,6 +12,7 @@ from repro.api import SCHEMES, RunOptions, Scheme, build_system
 from repro.core.bsp import BSP
 from repro.core.persistency import BBBScheme, BEP, EADR, NoPersistency, StrictPMEM
 from repro.obs.bus import NULL_BUS, EventBus
+from repro.sim.engine import Engine
 from repro.sim.system import System
 from repro.sim.trace import TraceOp
 from tests.conftest import paddr, single_thread_trace
@@ -118,6 +121,29 @@ class TestRemovedShims:
         fields = {f.name for f in dataclasses.fields(SchemeInfo)}
         assert "legacy_factory" not in fields
         assert not hasattr(scheme_info("bbb"), "legacy_factory")
+
+
+class TestOneCrashMechanism:
+    """Every crash goes through a ``CrashSchedule``: the op-count crash
+    parameter of ``run`` and the replaying sweep module are gone, not just
+    unused."""
+
+    @pytest.mark.parametrize("run", [System.run, Engine.run])
+    def test_run_has_no_crash_parameter(self, run):
+        assert list(inspect.signature(run).parameters) == [
+            "self", "trace", "finalize"]
+
+    def test_no_crash_module_in_sim(self):
+        import repro.sim
+
+        modules = {m.name for m in pkgutil.iter_modules(repro.sim.__path__)}
+        assert "crash" not in modules
+
+    def test_no_crash_sweep_exports(self):
+        import repro
+
+        assert not [n for n in dir(repro) if n.startswith("Crash")]
+        assert not [n for n in repro.__all__ if n.startswith("Crash")]
 
 
 class TestAssembly:

@@ -10,7 +10,10 @@ from repro.analysis.analytical import (EXACT_FIELDS, TOLERANCE,
 from repro.analysis.bench import run_smoke
 from repro.analysis.experiments import default_sim_config
 from repro.api import RunOptions, build_system
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.registry import iter_schemes
+from repro.fault.campaign import canonical_plans
+from repro.fault.injector import FaultInjector
 from repro.workloads.base import (WorkloadSpec, build_cached,
                                   seed_media_words)
 
@@ -64,13 +67,21 @@ def test_validate_reports_relative_errors():
 
 
 def test_analytical_mode_rejects_crash_runs():
-    cfg = default_sim_config()
-    trace, _ = build_cached("hashmap", cfg.mem, SPEC)
+    """An estimate has no architectural crash point: a crash schedule is
+    refused when the system is built, not silently ignored by the run."""
     scheme = next(i for i in iter_schemes() if i.builtin)
-    system = build_system(scheme.name, config=cfg,
-                          options=RunOptions(mode="analytical"))
+    schedule = CrashSchedule(stop_at=10, sites=(SITE_OP,))
     with pytest.raises(ValueError, match="crash"):
-        system.run(trace, crash_at_op=10)
+        build_system(scheme.name, options=RunOptions(
+            mode="analytical", crash_schedule=schedule))
+
+
+def test_analytical_mode_rejects_fault_injection():
+    scheme = next(i for i in iter_schemes() if i.builtin)
+    injector = FaultInjector(canonical_plans()[0])
+    with pytest.raises(ValueError, match="fault"):
+        build_system(scheme.name, options=RunOptions(
+            mode="analytical", fault_injector=injector))
 
 
 def test_unknown_mode_rejected():

@@ -146,6 +146,30 @@ class TestCrash:
         )
         assert rc == 0
 
+    #: A small ctree sweep where volatile caches (``none``) expose a link
+    #: persisted before its node and BBB stays consistent.
+    SMALL = ["crash", "--workload", "ctree", "--threads", "2", "--ops", "50",
+             "--elements", "4096", "--sample", "10"]
+
+    @pytest.mark.parametrize("scheme, rc, expected", [
+        ("none", 1,
+         "ctree under none: 10 crash points, 9 consistent, 1 inconsistent\n"
+         "  crash after op 4468: node 0x620010 reachable but uninitialised "
+         "\u2014 link persisted before node\n"),
+        ("bbb", 0,
+         "ctree under bbb: 10 crash points, 10 consistent, 0 inconsistent\n"),
+    ])
+    def test_literal_output(self, capsys, scheme, rc, expected):
+        assert main(self.SMALL + ["--scheme", scheme]) == rc
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_below_one_is_a_usage_error(self, capsys, sample):
+        rc = main(["crash", "--sample", sample] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --sample must be at least 1, got {sample}\n"
+
 
 class TestStaticCommands:
     def test_energy(self, capsys):

@@ -8,7 +8,7 @@ from repro.api import build_system
 from repro.sim.trace import OpKind
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.linkedlist import LinkedListAppend
-from tests.conftest import conflict_addresses
+from tests.conftest import conflict_addresses, crash_after
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
 
 
@@ -56,8 +56,9 @@ class TestRecoveryUnderClosedGapSchemes:
         trace = workload.build()
         checker = workload.make_checker()
         for crash_at in range(1, trace.total_ops() + 1, 7):
-            system = build_system(scheme, config=cfg)
-            result = system.run(trace, crash_at_op=crash_at)
+            system = build_system(scheme, config=cfg,
+                                  options=crash_after(crash_at))
+            result = system.run(trace)
             ok, violations = checker(system, result)
             assert ok, (scheme, crash_at, violations)
 
@@ -68,8 +69,10 @@ class TestRecoveryUnderClosedGapSchemes:
         trace = workload.build_with_barriers()
         checker = workload.make_checker()
         for crash_at in range(1, trace.total_ops() + 1, 5):
-            system = build_system("none", config=cfg)  # plain ADR, honours explicit flushes
-            result = system.run(trace, crash_at_op=crash_at)
+            # plain ADR, honours explicit flushes
+            system = build_system("none", config=cfg,
+                                  options=crash_after(crash_at))
+            result = system.run(trace)
             ok, violations = checker(system, result)
             assert ok, (crash_at, violations)
 
@@ -91,8 +94,9 @@ class TestFailureWithoutBBB:
 
         violated = False
         for crash_at in range(len(thread) - cfg.llc.assoc, len(thread) + 1):
-            system = build_system("none", config=cfg)
-            result = system.run(trace, crash_at_op=crash_at)
+            system = build_system("none", config=cfg,
+                                  options=crash_after(crash_at))
+            result = system.run(trace)
             ok, violations = checker(system, result)
             if not ok:
                 violated = True
@@ -109,7 +113,8 @@ class TestFailureWithoutBBB:
             thread.append(TraceOp.load(addr))
         trace = ProgramTrace([ThreadTrace(thread)])
         for crash_at in range(1, len(thread) + 1):
-            system = build_system("bbb", config=cfg)
-            result = system.run(trace, crash_at_op=crash_at)
+            system = build_system("bbb", config=cfg,
+                                  options=crash_after(crash_at))
+            result = system.run(trace)
             ok, violations = checker(system, result)
             assert ok, (crash_at, violations)

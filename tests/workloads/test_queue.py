@@ -7,7 +7,7 @@ from repro.api import build_system
 from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.queue import QueueAppend
-from tests.conftest import conflict_addresses
+from tests.conftest import conflict_addresses, crash_after
 
 
 @pytest.fixture
@@ -48,9 +48,10 @@ class TestRecovery:
         trace = workload.build()
         checker = workload.make_checker()
         for crash_at in range(1, trace.total_ops() + 1, 9):
-            system = build_system(scheme, config=cfg)
+            system = build_system(scheme, config=cfg,
+                                  options=crash_after(crash_at))
             workload.seed_media(system.nvmm_media)
-            result = system.run(trace, crash_at_op=crash_at)
+            result = system.run(trace)
             ok, violations = checker(system, result)
             assert ok, (scheme, crash_at, violations)
 
@@ -61,9 +62,10 @@ class TestRecovery:
         trace = workload.build()
         checker = workload.make_checker()
         for crash_at in range(1, trace.total_ops() + 1, 5):
-            system = build_system("bsp", config=cfg)
+            system = build_system("bsp", config=cfg,
+                                  options=crash_after(crash_at))
             workload.seed_media(system.nvmm_media)
-            result = system.run(trace, crash_at_op=crash_at)
+            result = system.run(trace)
             ok, violations = checker(system, result)
             assert ok, (crash_at, violations)
 
@@ -80,9 +82,10 @@ class TestRecovery:
         trace = ProgramTrace([ThreadTrace(ops)])
         torn = False
         for crash_at in range(1, len(ops) + 1):
-            system = build_system("none", config=cfg)
+            system = build_system("none", config=cfg,
+                                  options=crash_after(crash_at))
             workload.seed_media(system.nvmm_media)
-            result = system.run(trace, crash_at_op=crash_at)
+            result = system.run(trace)
             ok, violations = checker(system, result)
             if not ok:
                 torn = True
