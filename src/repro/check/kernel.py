@@ -15,12 +15,12 @@ semantics):
 2. a *master pass* runs the trace once more and walks the sorted target
    points.  For each point ``k`` it stops at the op boundary before the
    op that holds ``k`` (or before the run's epilogue), snapshots the
-   machine together with its :class:`~repro.sim.engine.RunCursor`, sets
-   ``stop_at=k`` on the copy and resumes the copy.  The crash then fires
-   through the real :class:`~repro.check.schedule.CrashNow` path, so
-   every repair handler (store-buffer reinstatement, bbPB entry
-   reinstatement, in-flight writeback capture) runs exactly as in a
-   replay from op 0.
+   machine together with its :class:`~repro.sim.engine.EngineStream`
+   session, sets ``stop_at=k`` on the copy and resumes the copy.  The
+   crash then fires through the real
+   :class:`~repro.check.schedule.CrashNow` path, so every repair handler
+   (store-buffer reinstatement, bbPB entry reinstatement, in-flight
+   writeback capture) runs exactly as in a replay from op 0.
 
 A snapshot shares what no run mutates — frozen configs, the trace and
 its ops, persist records, enums, module-level functions and the
@@ -419,26 +419,27 @@ class _Master:
 
     def __init__(self, build: Build, trace,
                  sites: Optional[Sequence[str]]) -> None:
-        from repro.sim.engine import RunCursor
+        from repro.sim.coltrace import program_of
 
+        self.trace = program_of(trace)
         self.schedule = CrashSchedule(stop_at=None, sites=sites)
         self.system = build(self.schedule)
-        self.cursor = RunCursor(self.system.engine, trace)
-        self.snapshot = Snapshotter(_trace_objects(self.cursor.trace))
+        self.session = self.system.engine.stream(self.trace)
+        self.snapshot = Snapshotter(_trace_objects(self.trace))
 
     def fork(self, ops: int) -> Tuple[Any, Any]:
         """Advance to the boundary after ``ops`` executed ops and return a
-        copy of ``(system, cursor)``."""
-        self.cursor.step(ops)
-        return self.snapshot((self.system, self.cursor))
+        copy of ``(system, session)``."""
+        self.session.pump(ops)
+        return self.snapshot((self.system, self.session))
 
 
 def _crash_fork(fork: Tuple[Any, Any], point: int) -> CrashRun:
     """Resume a forked machine with ``stop_at=point`` until it crashes."""
-    system, cursor = fork
+    system, session = fork
     system.hierarchy.crash_schedule.stop_at = point
-    cursor.step()
-    return _fired(CrashRun(point, system, cursor.finish(), forked=True))
+    session.pump()
+    return _fired(CrashRun(point, system, session.settle(), forked=True))
 
 
 def _replay(build: Build, trace, point: int,
@@ -506,15 +507,15 @@ def final_crash(build: Build, trace) -> Tuple[Any, Optional[Any]]:
     crash point at all (no ops), in which case ``system`` is the cleanly
     finished master."""
     master = _Master(build, trace, sites=None)
-    last_op = master.cursor.trace.total_ops() - 1
+    last_op = master.trace.total_ops() - 1
     fork = None
     if last_op >= REBUILD_BELOW_OPS:
         try:
             fork = master.fork(last_op)
         except SnapshotRefused:
             pass
-    master.cursor.step()
-    master.cursor.finish()
+    master.session.pump()
+    master.session.settle()
     total = master.schedule.visits
     if total == 0:
         return master.system, None

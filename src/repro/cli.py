@@ -17,7 +17,8 @@ Commands:
   seeded op visits, recover, and account for every request; reports
   RPO/RTO per scheme (``repro.drill/v1``) and exits non-zero if a
   battery-domain scheme loses an acked request.
-* ``bench``   — time the fixed perf smoke suite and write ``BENCH_<rev>.json``.
+* ``bench``   — correctness gate: a columnar trace must run bit-identically
+  to its object form, and the analytical estimate must sit in tolerance.
 * ``faults``  — seeded fault-injection campaign (scheme x workload x plan);
   exits non-zero if any battery-domain fault produced silent corruption.
 * ``check``   — crash-consistency model checker: exhaustive micro-step
@@ -90,12 +91,6 @@ from repro.obs.bus import NULL_BUS, EventBus, EventRecorder
 from repro.sim.system import SYSTEM_MODES
 from repro.sim.tracefile import save_trace
 from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
-
-#: Mirror of :data:`repro.analysis.bench.BENCH_MODES` — duplicated so the
-#: parser builds without importing the (heavier) bench module;
-#: :func:`cmd_bench` asserts the two stay in sync.
-BENCH_MODES = ("all", "analytical")
-
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -435,50 +430,21 @@ def cmd_table1(args) -> int:
 def cmd_bench(args) -> int:
     # Imported here so the (slow-ish) bench module does not tax every other
     # CLI invocation.
-    from repro.analysis.bench import (
-        BENCH_MODES as _BENCH_MODES,
-        run_bench,
-        run_smoke,
-        write_bench,
-    )
+    from repro.analysis.bench import run_smoke
 
-    assert BENCH_MODES == _BENCH_MODES, "cli/bench mode lists diverged"
-    if args.smoke:
-        report = run_smoke()
-        for cell in report["cells"]:
-            status = "ok" if (cell["identical"] and cell["analytical_ok"]) \
-                else "FAIL"
-            errs = ", ".join(f"{k}={v:.2%}" for k, v in cell["errors"].items())
-            print(f"  {cell['workload']:>8s}/{cell['scheme']:<5s} "
-                  f"identical={cell['identical']} "
-                  f"analytical=({errs}) {status}")
-        if not report["ok"]:
-            print("bench smoke FAILED: trace representations diverge or "
-                  "analytical estimate out of tolerance", file=sys.stderr)
-            return 1
-        print("bench smoke ok")
-        return 0
-
-    jobs = _jobs(args)
-    out_dir = os.path.dirname(args.out) if args.out else ""
-    if out_dir and not os.path.isdir(out_dir):
-        # Fail before spending seconds on suites whose report can't be saved.
-        raise _UsageError(f"output directory {out_dir!r} does not exist")
-    report = run_bench(jobs=jobs, mode=args.mode)
-    path = write_bench(report, args.out)
-    rows = [
-        (name, f"{suite['wall_s']:.3f}", f"{suite['ops']:,}",
-         f"{suite['ops_per_sec']:,.0f}" if suite["ops_per_sec"] else "-")
-        for name, suite in report["suites"].items()
-    ]
-    print(render_table(
-        ["suite", "wall (s)", "ops", "ops/sec"], rows,
-        title=f"bench @ {report['revision']} (python {report['python']})",
-    ))
-    engine = report["suites"]["engine_tso"]
-    if "analytical_ok" in engine:
-        print(f"analytical within tolerance: {engine['analytical_ok']}")
-    print(f"wrote {path}")
+    report = run_smoke()
+    for cell in report["cells"]:
+        status = "ok" if (cell["identical"] and cell["analytical_ok"]) \
+            else "FAIL"
+        errs = ", ".join(f"{k}={v:.2%}" for k, v in cell["errors"].items())
+        print(f"  {cell['workload']:>8s}/{cell['scheme']:<5s} "
+              f"identical={cell['identical']} "
+              f"analytical=({errs}) {status}")
+    if not report["ok"]:
+        print("bench smoke FAILED: trace representations diverge or "
+              "analytical estimate out of tolerance", file=sys.stderr)
+        return 1
+    print("bench smoke ok")
     return 0
 
 
@@ -1112,20 +1078,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_traffic.set_defaults(func=cmd_traffic)
 
     p_bench = sub.add_parser(
-        "bench", help="time the fixed perf smoke suite, write BENCH_<rev>.json"
+        "bench", help="correctness gate: columnar-vs-object trace "
+                      "equivalence + analytical tolerance (no timing; "
+                      "wall-clock benchmarking is perfbench/run.py)"
     )
-    p_bench.add_argument("--out", default=None,
-                         help="output path (default: BENCH_<rev>.json)")
-    p_bench.add_argument("--jobs", type=int, default=None,
-                         help="workers for the batch suite (default: REPRO_JOBS/CPUs)")
-    p_bench.add_argument("--mode", choices=BENCH_MODES, default="all",
-                         help="engine suite coverage: all times each cell "
-                              "best-of-three with the analytical estimate "
-                              "(default), analytical runs each cell once")
     p_bench.add_argument("--smoke", action="store_true",
-                         help="CI gate: tiny columnar-vs-object trace "
-                              "equivalence + analytical tolerance check; "
-                              "exits non-zero on any mismatch (no timing)")
+                         help="the CI spelling of the same gate; exits "
+                              "non-zero on any mismatch")
     p_bench.set_defaults(func=cmd_bench)
 
     p_drill = sub.add_parser(

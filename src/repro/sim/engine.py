@@ -6,6 +6,12 @@ clock; the engine always steps the core with the smallest clock, which gives
 a deterministic, contention-aware interleaving of the threads (the standard
 trace-driven multicore approach).
 
+That interleaving lives in one per-op loop, :class:`EngineStream`, which
+reads the next core off a ``(clock, core)`` min-heap.  :meth:`Engine.run`
+is a session over a trace's op lists pumped to the end; serving, drills
+and :meth:`Engine.run_stream` feed a session incrementally; the
+crash-exploration kernel pumps one to an op boundary and forks it.
+
 Store buffers sit between the core and the hierarchy:
 
 * Under ``ConsistencyModel.TSO`` a committed store is released to the L1D
@@ -25,10 +31,9 @@ from __future__ import annotations
 import heapq
 import random
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Deque, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.check.schedule import SITE_OP, CrashNow, FiredPoint
 from repro.core.persistency import DrainReport
@@ -134,45 +139,12 @@ class Engine:
         ``trace`` may be a :class:`ProgramTrace` or a
         :class:`~repro.sim.coltrace.ColumnarTrace` (converted back to ops
         once, memoized on the columnar trace); both representations
-        produce identical results.  Every op runs through :meth:`_execute`
-        in the order of a min-heap over ``(clock, core)``.
+        produce identical results.  The run is one :class:`EngineStream`
+        session over the trace's op lists, pumped to the end and settled.
         """
-        cursor = RunCursor(self, trace)
-        cursor.step()
-        return cursor.finish(finalize)
-
-    def _epilogue(
-        self,
-        result: RunResult,
-        clocks: List[int],
-        flush_outstanding: List[List[int]],
-        executed: int,
-        finalize: bool,
-    ) -> RunResult:
-        """Settle a completed (or crashed) execution: retire remaining
-        store-buffer entries and outstanding flushes, finalize the scheme,
-        drain on crash, and publish per-core cycle counts.  Shared by
-        :meth:`run` and :meth:`EngineStream.finish`."""
-        if not result.crashed:
-            try:
-                for core in range(len(clocks)):
-                    clocks[core] = self._release_all(core, clocks[core], result)
-                    if flush_outstanding[core]:
-                        clocks[core] = max(clocks[core],
-                                           max(flush_outstanding[core]))
-                if finalize:
-                    self.hierarchy.scheme.finalize(max(clocks))
-            except CrashNow as crash:
-                result.crashed = True
-                result.crash_op = executed
-                result.crash_point = crash.point
-        if result.crashed:
-            result.drain_report = self.hierarchy.scheme.crash_drain(
-                max(clocks) if clocks else 0
-            )
-        for core, clock in enumerate(clocks):
-            self.stats.core[core].cycles = clock
-        return result
+        session = self.stream(trace)
+        session._pump()
+        return session.settle(finalize)
 
     # ------------------------------------------------------------------
     # Per-op execution
@@ -372,14 +344,27 @@ class Engine:
         return now
 
     # ------------------------------------------------------------------
-    # Streaming ingestion
+    # Sessions
     # ------------------------------------------------------------------
-    def stream(self) -> "EngineStream":
-        """Open a streaming ingestion session (see :class:`EngineStream`).
+    def stream(self, trace: Optional[ProgramTrace] = None) -> "EngineStream":
+        """Open a session of the engine's per-op loop (see
+        :class:`EngineStream`).
 
-        An :class:`Engine` is single-shot: use either :meth:`run` or one
-        stream per engine, never both."""
-        return EngineStream(self)
+        Without ``trace`` the session streams: ops are fed core by core.
+        With ``trace`` it runs over the trace's per-thread op lists, held
+        as they are, with every core already ended — the session
+        :meth:`run` pumps to the end and the crash-exploration kernel
+        (:mod:`repro.check.kernel`) forks.  An :class:`Engine` is
+        single-shot: open one session per engine."""
+        if trace is None:
+            return EngineStream(self)
+        trace = program_of(trace)
+        if trace.num_threads > self.config.num_cores:
+            raise ValueError(
+                f"trace has {trace.num_threads} threads but the system has "
+                f"{self.config.num_cores} cores"
+            )
+        return EngineStream(self, [thread.ops for thread in trace.threads])
 
     def run_stream(
         self,
@@ -425,121 +410,31 @@ class Engine:
         return session.finish(finalize=finalize)
 
 
-class RunCursor:
-    """The loop state of one :meth:`Engine.run`, resumable op by op.
-
-    Holds the min-heap over ``(clock, core)``, per-core op indices, clocks
-    and outstanding flushes, the executed-op count and the
-    :class:`RunResult`.  :meth:`step` runs the engine's one per-op loop up
-    to a given executed-op count; :meth:`finish` settles the run exactly
-    like a completed :meth:`Engine.run`.  Stopping between ops leaves the
-    machine at an op boundary, which is where the crash-exploration
-    kernel (:mod:`repro.check.kernel`) snapshots it.
-    """
-
-    def __init__(self, engine: Engine, trace: ProgramTrace) -> None:
-        if trace.num_threads > engine.config.num_cores:
-            raise ValueError(
-                f"trace has {trace.num_threads} threads but the system has "
-                f"{engine.config.num_cores} cores"
-            )
-        self.engine = engine
-        self.trace = trace = program_of(trace)
-        self.result = RunResult(stats=engine.stats)
-        num_threads = trace.num_threads
-        self.clocks = [0] * num_threads
-        self.indices = [0] * num_threads
-        self.flush_outstanding: List[List[int]] = [
-            [] for _ in range(num_threads)
-        ]
-        self.executed = 0
-        # Min-heap scheduler: always step the core with the smallest
-        # clock, ties broken by core index — identical to a min() over
-        # live cores, but O(log n) per step and with no per-step
-        # liveness list-build.
-        self.heap = [(0, c) for c in range(num_threads)
-                     if trace.threads[c].ops]
-
-    def step(self, until: Optional[int] = None) -> None:
-        """Execute ops until ``executed`` reaches ``until`` (``None``: the
-        end of the trace) or a scheduled crash fires.
-
-        Op boundaries the crash schedule would only count (see
-        :meth:`~repro.check.schedule.CrashSchedule.quiet_ops`) run without
-        a per-op ``reached`` call and are counted in one
-        :meth:`~repro.check.schedule.CrashSchedule.skip_ops`."""
-        limit = sys.maxsize if until is None else until
-        schedule = self.engine.hierarchy.crash_schedule
-        if not schedule.enabled:
-            self._run(limit, None)
-            return
-        quiet = schedule.quiet_ops()
-        if quiet:
-            before = self.executed
-            self._run(min(limit, before + quiet), None)
-            schedule.skip_ops(self.executed - before)
-        self._run(limit, schedule)
-
-    def _run(self, limit: int, schedule) -> None:
-        """The per-op loop, up to ``limit`` executed ops; ``schedule``
-        (``None``: unobserved) sees every op boundary."""
-        execute = self.engine._execute
-        result = self.result
-        heap = self.heap
-        indices = self.indices
-        clocks = self.clocks
-        flush_outstanding = self.flush_outstanding
-        ops_per_core = [t.ops for t in self.trace.threads]
-        executed = self.executed
-        while heap and executed < limit:
-            clock, core = heapq.heappop(heap)
-            i = indices[core]
-            ops = ops_per_core[core]
-            indices[core] = i + 1
-            try:
-                clock = execute(core, ops[i], clock, result,
-                                flush_outstanding[core])
-                clocks[core] = clock
-                executed += 1
-                if schedule is not None:
-                    schedule.reached(SITE_OP, clock)
-            except CrashNow as crash:
-                # A scheduled micro-step crash fired inside (or right
-                # after) this op: ``executed`` counts fully-executed ops.
-                clocks[core] = max(clocks[core], clock)
-                result.crashed = True
-                result.crash_op = executed
-                result.crash_point = crash.point
-                break
-            if i + 1 < len(ops):
-                heapq.heappush(heap, (clock, core))
-        self.executed = executed
-
-    def finish(self, finalize: bool = True) -> RunResult:
-        """Settle the run: retire buffered stores, finalize the scheme (or
-        crash-drain it), and publish per-core cycle counts."""
-        return self.engine._epilogue(self.result, self.clocks,
-                                     self.flush_outstanding, self.executed,
-                                     finalize)
+#: Core modes of an :class:`EngineStream`.  An open core with an empty
+#: queue blocks the loop; idle and ended cores do not.
+_OPEN, _IDLE, _ENDED = 0, 1, 2
 
 
 class EngineStream:
-    """Incremental, request-driven execution session over one
-    :class:`Engine`.
+    """An execution session over one :class:`Engine`: the engine's one
+    per-op loop.
 
-    Instead of materializing a whole :class:`~repro.sim.trace.ProgramTrace`
-    up front, a caller *feeds* ops to per-core queues and *pumps* the
-    engine, which executes exactly as far as it can while preserving the
-    deterministic smallest-clock interleaving of :meth:`Engine.run`:
+    Each core has an op queue and a cycle clock.  The loop always steps
+    the core with the smallest ``(clock, core)`` key, read off a min-heap
+    that holds exactly one entry per *live* core — one with queued ops,
+    or one neither :meth:`end`-ed nor :meth:`idle`.  :meth:`Engine.run`
+    opens a session over a trace's op lists with every core ended and
+    pumps it to the end; streaming callers (serving, drills,
+    :meth:`Engine.run_stream`) feed ops incrementally instead:
 
-    * ``pump()`` executes ops only while the globally next heap key
-      ``(clock, core)`` belongs to a core with buffered work.  When the
-      next key belongs to a core whose queue is empty (and that has not
-      been :meth:`end`-ed or marked :meth:`idle`), the pump *starves* and
-      returns that core's index — backpressure telling the caller which
-      stream the engine needs next.  This is what makes streamed ingestion
-      bit-identical to a materialized run: an op fed later to the starved
-      core could order before anything currently buffered elsewhere.
+    * ``pump(until=None)`` executes ops while the smallest key belongs to
+      a core with queued work, stopping after ``until`` executed ops if
+      given.  When the smallest key belongs to an open core whose queue
+      is empty, the pump *starves* and returns that core's index —
+      backpressure telling the caller which stream the engine needs
+      next.  This is what makes streamed ingestion bit-identical to a
+      materialized run: an op fed later to the starved core could order
+      before anything currently queued elsewhere.
     * ``feed(core, ops)`` appends ops to a core's queue; ``end(core)``
       declares a stream complete; ``idle(core)`` temporarily removes a
       core from the starvation barrier (closed-loop serving: the core has
@@ -548,34 +443,54 @@ class EngineStream:
     * ``advance(core, cycle)`` moves an (empty-queued) core's clock
       forward to a request arrival time, modelling the gap between
       requests in an open-loop workload.
-    * ``finish()`` ends every core, drains, and settles the run exactly
-      like :meth:`Engine.run`'s completion path, returning the
-      :class:`RunResult`.
+    * ``finish()`` ends every core, drains, and settles the session,
+      returning the :class:`RunResult`.
 
     Because a core's clock only moves when its own ops execute, a starved
     core's clock is exactly the completion cycle of the last op it was
     fed — per-request latency falls out of ``clock(core)`` with no per-op
     completion callbacks (:mod:`repro.serve` builds on this).
 
-    Every op runs through :meth:`Engine._execute`, the same per-op path
-    as :meth:`Engine.run`.
+    Stopping a pump at ``until`` leaves the machine at an op boundary,
+    which is where the crash-exploration kernel (:mod:`repro.check.kernel`)
+    snapshots a session together with its system.
     """
 
-    def __init__(self, engine: Engine) -> None:
+    def __init__(self, engine: Engine,
+                 ops: Optional[Sequence[List[TraceOp]]] = None) -> None:
         self.engine = engine
-        n = engine.config.num_cores
+        # A streamed session drives every core; one over a trace only the
+        # trace's threads: the cores beyond them never run, and a forked
+        # session then copies per-core state only for cores that do.
+        n = engine.config.num_cores if ops is None else len(ops)
         self.num_cores = n
         self.result = RunResult(stats=engine.stats)
         self.clocks = [0] * n
         self.flush_outstanding: List[List[int]] = [[] for _ in range(n)]
         self.executed = 0
-        self._pending: List[Deque[TraceOp]] = [deque() for _ in range(n)]
-        self._ended = [False] * n
-        self._idle = [False] * n
+        # Per-core op queue and the index of its next op.  A trace's op
+        # lists are held as they are and never written (its cores start
+        # ended, and only open cores are fed), so a snapshot of the
+        # session shares them.
+        if ops is None:
+            self._queues: List[List[TraceOp]] = [[] for _ in range(n)]
+            self._mode = [_OPEN] * n
+            self._heap = [(0, core) for core in range(n)]
+        else:
+            self._queues = list(ops)
+            self._mode = [_ENDED] * n
+            self._heap = [(0, core) for core in range(n) if ops[core]]
+        self._next = [0] * n
         self._finished = False
-        schedule = engine.hierarchy.crash_schedule
-        self._schedule = schedule
-        self._schedule_on = schedule.enabled
+
+    def _queued(self, core: int) -> bool:
+        return self._next[core] < len(self._queues[core])
+
+    def _unschedule(self, core: int) -> None:
+        """Take ``core``'s entry out of the heap (a rebuild of at most
+        ``num_cores`` entries)."""
+        self._heap.remove((self.clocks[core], core))
+        heapq.heapify(self._heap)
 
     # -- ingestion -----------------------------------------------------
     def clock(self, core: int) -> int:
@@ -587,102 +502,170 @@ class EngineStream:
         """Append ops to ``core``'s queue (clears an ``idle`` mark)."""
         if self._finished:
             raise RuntimeError("stream already finished")
-        if self._ended[core]:
+        mode = self._mode[core]
+        if mode == _ENDED:
             raise ValueError(f"core {core} already ended")
-        self._idle[core] = False
-        self._pending[core].extend(ops)
+        queue = self._queues[core]
+        done = self._next[core]
+        if done:
+            del queue[:done]
+            self._next[core] = 0
+        queue.extend(ops)
+        if mode == _IDLE:
+            self._mode[core] = _OPEN
+            heapq.heappush(self._heap, (self.clocks[core], core))
 
     def end(self, core: int) -> None:
         """Declare ``core``'s stream complete; it stops blocking pumps
         once its queue drains, and may not be fed again."""
-        self._ended[core] = True
-        self._idle[core] = False
+        if self._mode[core] == _OPEN and not self._queued(core):
+            self._unschedule(core)
+        self._mode[core] = _ENDED
 
     def idle(self, core: int) -> None:
         """Remove an empty-queued core from the starvation barrier until
         the next :meth:`feed` (closed-loop: no request in flight)."""
-        if self._pending[core]:
+        if self._queued(core):
             raise ValueError(f"core {core} has buffered ops; cannot idle")
-        self._idle[core] = True
+        if self._mode[core] == _OPEN:
+            self._unschedule(core)
+            self._mode[core] = _IDLE
 
     def advance(self, core: int, cycle: int) -> None:
         """Move an empty-queued core's clock forward to ``cycle`` (no-op
         if its clock is already past), modelling inter-request gaps."""
-        if self._pending[core]:
+        if self._queued(core):
             raise ValueError(f"core {core} has buffered ops; cannot advance")
         if cycle > self.clocks[core]:
+            scheduled = self._mode[core] == _OPEN
+            if scheduled:
+                self._unschedule(core)
             self.clocks[core] = cycle
+            if scheduled:
+                heapq.heappush(self._heap, (cycle, core))
 
     # -- execution -----------------------------------------------------
-    def pump(self) -> Optional[int]:
-        """Execute every buffered op that can run without violating the
-        global interleaving.  Returns the index of the core the engine
-        starved on (feed, idle, or end it, then pump again), or ``None``
-        when nothing blocks progress — every non-ended core is idle or
-        the session is fully drained (or crashed)."""
+    def pump(self, until: Optional[int] = None) -> Optional[int]:
+        """Execute every queued op that can run without violating the
+        global interleaving, stopping once ``executed`` reaches ``until``
+        (``None``: no limit) or a scheduled crash fires.  Returns the
+        index of the core the engine starved on (feed, idle, or end it,
+        then pump again), or ``None`` when nothing blocks progress —
+        every open core is idle, the session is drained or crashed, or
+        ``until`` was reached."""
         if self._finished:
             raise RuntimeError("stream already finished")
+        return self._pump(until)
+
+    def _pump(self, until: Optional[int] = None) -> Optional[int]:
+        """:meth:`pump`, minus the public entry check.  :meth:`Engine.run`
+        calls it directly, so wrappers around :meth:`pump` (the repository
+        benchmark's spans) count the pumps of sessions, not of runs.
+
+        Op boundaries the crash schedule would only count (see
+        :meth:`~repro.check.schedule.CrashSchedule.quiet_ops`) run without
+        a per-op ``reached`` call and are counted in one
+        :meth:`~repro.check.schedule.CrashSchedule.skip_ops`."""
         if self.result.crashed:
             return None
+        limit = sys.maxsize if until is None else until
+        schedule = self.engine.hierarchy.crash_schedule
+        if not schedule.enabled:
+            return self._run(limit, None)
+        quiet = schedule.quiet_ops()
+        if quiet:
+            before = self.executed
+            starved = self._run(min(limit, before + quiet), None)
+            schedule.skip_ops(self.executed - before)
+            if starved is not None:
+                return starved
+        return self._run(limit, schedule)
+
+    def _run(self, limit: int, schedule) -> Optional[int]:
+        """The per-op loop, up to ``limit`` executed ops; ``schedule``
+        (``None``: unobserved) sees every op boundary.  Returns the core
+        it starved on, if any."""
         execute = self.engine._execute
         result = self.result
+        heap = self._heap
+        queues = self._queues
+        nexts = self._next
         clocks = self.clocks
-        pending = self._pending
-        ended = self._ended
-        idle = self._idle
-        fo = self.flush_outstanding
-        schedule_on = self._schedule_on
-        schedule = self._schedule
-        n = self.num_cores
-        while True:
-            # Same order as Engine.run's min-heap: smallest clock wins,
-            # ties break toward the lower core index (ascending scan with
-            # a strict ``<``).
-            best = -1
-            best_clock = 0
-            starve = False
-            for c in range(n):
-                if pending[c]:
-                    blocked = False
-                elif ended[c] or idle[c]:
-                    continue
-                else:
-                    blocked = True
-                clk = clocks[c]
-                if best < 0 or clk < best_clock:
-                    best = c
-                    best_clock = clk
-                    starve = blocked
-            if best < 0:
-                return None
-            if starve:
-                return best
-            op = pending[best].popleft()
+        flush_outstanding = self.flush_outstanding
+        mode = self._mode
+        executed = self.executed
+        starved = None
+        while heap and executed < limit:
+            clock, core = heap[0]
+            ops = queues[core]
+            i = nexts[core]
+            if i == len(ops):
+                # Live with nothing queued: an open core the loop waits on.
+                starved = core
+                break
+            nexts[core] = i + 1
             try:
-                clock = execute(best, op, best_clock, result, fo[best])
-                clocks[best] = clock
-                self.executed += 1
-                if schedule_on:
+                clock = execute(core, ops[i], clock, result,
+                                flush_outstanding[core])
+                clocks[core] = clock
+                executed += 1
+                if schedule is not None:
                     schedule.reached(SITE_OP, clock)
             except CrashNow as crash:
-                clocks[best] = max(clocks[best], best_clock)
+                # A scheduled micro-step crash fired inside (or right
+                # after) this op: ``executed`` counts fully-executed ops.
+                heapq.heapreplace(heap, (clocks[core], core))
                 result.crashed = True
-                result.crash_op = self.executed
+                result.crash_op = executed
                 result.crash_point = crash.point
-                return None
+                break
+            if i + 1 < len(ops) or mode[core] == _OPEN:
+                heapq.heapreplace(heap, (clock, core))
+            else:
+                heapq.heappop(heap)
+        self.executed = executed
+        return starved
 
     # -- completion ----------------------------------------------------
     def finish(self, finalize: bool = True) -> RunResult:
-        """End every core, drain all buffered ops, and settle the run
-        exactly as :meth:`Engine.run` does on completion."""
+        """End every core, drain all queued ops, and settle the session."""
         if self._finished:
             return self.result
-        for core in range(self.num_cores):
-            self._ended[core] = True
-            self._idle[core] = False
+        self._mode = [_ENDED] * self.num_cores
+        self._heap = [(self.clocks[core], core)
+                      for core in range(self.num_cores) if self._queued(core)]
+        heapq.heapify(self._heap)
         self.pump()
+        return self.settle(finalize)
+
+    def settle(self, finalize: bool = True) -> RunResult:
+        """Settle the session where it stands — drained or crashed: retire
+        remaining store-buffer entries and outstanding flushes, finalize
+        the scheme (or crash-drain it), and publish per-core cycle counts.
+        Ops still queued are dropped.  :meth:`finish`, :meth:`Engine.run`
+        and the crash kernel's forks end here; a settled session is
+        finished."""
         self._finished = True
-        return self.engine._epilogue(
-            self.result, self.clocks, self.flush_outstanding,
-            self.executed, finalize,
-        )
+        engine = self.engine
+        result = self.result
+        clocks = self.clocks
+        if not result.crashed:
+            try:
+                for core in range(self.num_cores):
+                    clocks[core] = engine._release_all(core, clocks[core],
+                                                       result)
+                    if self.flush_outstanding[core]:
+                        clocks[core] = max(clocks[core],
+                                           max(self.flush_outstanding[core]))
+                if finalize:
+                    engine.hierarchy.scheme.finalize(max(clocks))
+            except CrashNow as crash:
+                result.crashed = True
+                result.crash_op = self.executed
+                result.crash_point = crash.point
+        if result.crashed:
+            result.drain_report = engine.hierarchy.scheme.crash_drain(
+                max(clocks))
+        for core, clock in enumerate(clocks):
+            engine.stats.core[core].cycles = clock
+        return result

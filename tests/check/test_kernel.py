@@ -4,6 +4,7 @@ op 0 reaches."""
 
 import copy
 import threading
+from collections import deque
 from dataclasses import asdict
 from unittest import mock
 
@@ -35,6 +36,7 @@ from repro.core.registry import (
 from repro.fault.injector import NULL_INJECTOR
 from repro.obs.bus import NULL_BUS
 from repro.sim.config import BBBConfig, SystemConfig
+from repro.sim.trace import ProgramTrace, ThreadTrace
 from repro.workloads.base import WorkloadSpec, make_workload
 
 CFG = SystemConfig(num_cores=2).scaled_for_testing()
@@ -178,6 +180,65 @@ class TestCrashRuns:
         assert result.crash_point.index == total
         assert system.nvmm_media.image() == _replayed(
             build, trace, total)[0].nvmm_media.image()
+
+
+def _reachable(root, skip=(), stop=frozenset()):
+    """``id -> object`` for every container and plain object reachable
+    from ``root``, not entering ``skip`` or any object whose id is in
+    ``stop``."""
+    seen = {}
+    todo = [root]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or id(x) in stop or any(x is s for s in skip):
+            continue
+        if isinstance(x, (list, tuple, deque, set, frozenset)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif hasattr(x, "__dict__") and not isinstance(x, type):
+            todo.extend(vars(x).values())
+        else:
+            continue
+        seen[id(x)] = x
+    return seen
+
+
+def _copied_sizes(fork, master):
+    """Sorted ``len`` of every container a forked session holds that the
+    master's session does not share with it (the system is not walked)."""
+    shared = _reachable(master, skip=(master.engine,))
+    own = _reachable(fork, skip=(fork.engine,), stop=frozenset(shared))
+    return sorted(len(x) for x in own.values()
+                  if isinstance(x, (list, tuple, deque, set, dict)))
+
+
+class TestForks:
+    def test_a_fork_shares_the_op_lists_and_copies_nothing_sized_by_them(
+            self):
+        """Forks at the same op boundary of a trace and of its own head
+        copy containers of equal sizes: nothing a fork copies grows with
+        the ops still to run, because its per-core op lists are the
+        master's."""
+        def build(schedule):
+            return _build("bbb", schedule)
+
+        full = make_workload("hashmap", CFG.mem, WorkloadSpec(
+            threads=2, ops=8, elements=64, seed=3)).build()
+        n = min(len(thread.ops) for thread in full.threads) // 2
+        head = ProgramTrace([ThreadTrace(thread.ops[:n])
+                             for thread in full.threads])
+        assert full.total_ops() >= 2 * head.total_ops()
+        sizes = []
+        for trace in (head, full):
+            master = kernel._Master(build, trace, sites=None)
+            _, session = master.fork(n // 2)
+            assert session.executed == n // 2
+            for core, thread in enumerate(trace.threads):
+                assert session._queues[core] is thread.ops
+                assert session._queues[core] is master.session._queues[core]
+            sizes.append(_copied_sizes(session, master.session))
+        assert sizes[0] == sizes[1]
 
 
 class ClosureDrainBBB(BBBScheme):

@@ -3,9 +3,11 @@ durability accounting, the RPO gate on battery-domain schemes, mutant
 detection, report schema validation, and determinism."""
 
 import json
+from unittest import mock
 
 import pytest
 
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.recovery import (
     ACKED_DURABLE,
     ACKED_LOST,
@@ -93,6 +95,26 @@ def test_restart_serves_every_unresolved_request():
     assert rec["restart_requests"] == unit["outcomes"][UNACKED_LOST] + \
         unit["outcomes"]["retried-duplicate"]
     assert rec["restart_completed"] == rec["restart_requests"]
+
+
+def test_op_boundaries_before_the_crash_are_counted_in_bulk():
+    """A drill's schedule counts op boundaries only, so the engine reports
+    just the firing boundary to ``reached``; those before it are counted
+    in bulk by ``skip_ops`` across every pump of the session."""
+    visit = count_crash_sites(BBB, SPEC, entries=8) // 2
+    reached = CrashSchedule.reached
+    before = []
+
+    def spy(self, site, cycle=0, addr=0):
+        if site == SITE_OP:
+            before.append(self.visits)
+        return reached(self, site, cycle, addr)
+
+    with mock.patch.object(CrashSchedule, "reached", spy):
+        unit = _unit(BBB, visit=visit)
+    assert unit["crashed"]
+    assert before == [visit - 1]
+    assert unit == _unit(BBB, visit=visit)
 
 
 def test_drill_unit_is_deterministic():

@@ -7,10 +7,12 @@ ops into a ``ProgramTrace`` and calling ``System.run`` — for every
 registered builtin scheme, across chunk sizes, in both engine modes, with
 op fields too wide for the columnar form, and under relaxed consistency.
 The manual-session tests pin the ``EngineStream`` protocol itself
-(starve/feed/advance/idle/end).
+(starve/feed/advance/idle/end), against the scan scheduler of
+:mod:`tests.sim.scan_reference` where the answer depends on scheduling.
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.sim.trace import (OpKind, ProgramTrace, ThreadTrace, TraceOp,
                               with_epochs)
 from repro.workloads.base import (WorkloadSpec, build_cached,
                                   seed_media_words)
+from tests.sim.scan_reference import ScanSession
 
 SPEC = WorkloadSpec(threads=2, ops=25, elements=512, seed=13)
 SCHEMES = [info for info in iter_schemes() if info.builtin]
@@ -188,3 +191,78 @@ def test_feed_after_end_rejected():
     session.end(0)
     with pytest.raises(ValueError):
         session.feed(0, [TraceOp.compute(1)])
+
+
+#: Ops per feed in the protocol drive.
+MAX_BATCH = 4
+
+
+def _random_ops(rng, base):
+    ops = []
+    for _ in range(rng.randint(1, MAX_BATCH)):
+        addr = base + 64 * rng.randrange(32) + 8 * rng.randrange(8)
+        kind = rng.random()
+        if kind < 0.4:
+            ops.append(TraceOp.store(addr, rng.randrange(1, 1 << 30)))
+        elif kind < 0.7:
+            ops.append(TraceOp.load(addr))
+        else:
+            ops.append(TraceOp.compute(rng.randint(1, 40)))
+    return ops
+
+
+def test_serve_protocol_matches_the_scan_on_bounded_state():
+    """Over a thousand rounds of the serving protocol — feed, pump until
+    it starves, advance, idle, feed again, end — every starve answer and
+    every clock equals the scan scheduler's, the heap holds exactly the
+    live cores, and no queue outgrows the ops fed but not yet run."""
+    info = next(i for i in SCHEMES if i.name == BBB)
+    rng = random.Random(2024)
+    session = _system(info).stream()
+    reference = ScanSession(_system(info))
+    n = session.num_cores
+    base = default_sim_config().mem.persistent_base
+    idle, ended = set(), set()
+    rounds = 0
+
+    def both(method, *args):
+        getattr(session, method)(*args)
+        getattr(reference, method)(*args)
+
+    while True:
+        needy = session.pump()
+        assert needy == reference.pump()
+        assert [session.clock(c) for c in range(n)] == \
+            [reference.clock(c) for c in range(n)]
+        live = [(reference.clock(c), c) for c in range(n)
+                if reference.pending[c]
+                or not (reference.ended[c] or reference.idled[c])]
+        assert sorted(session._heap) == sorted(live)
+        assert all(len(q) <= 2 * MAX_BATCH for q in session._queues)
+        rounds += 1
+        if needy is None:
+            if not idle:
+                break
+            core = rng.choice(sorted(idle))
+            idle.discard(core)
+            both("advance", core, session.clock(core) + rng.randrange(80))
+            both("feed", core, _random_ops(rng, base))
+            continue
+        roll = rng.random()
+        if rounds > 1000 and roll < 0.3:
+            both("end", needy)
+            ended.add(needy)
+        elif roll < 0.25:
+            both("idle", needy)
+            idle.add(needy)
+        else:
+            both("advance", needy, session.clock(needy) + rng.randrange(80))
+            both("feed", needy, _random_ops(rng, base))
+        # Now and then a core that still has ops queued is fed more.
+        other = rng.randrange(n)
+        if (roll < 0.5 and other not in ended | idle
+                and len(reference.pending[other]) < MAX_BATCH):
+            both("feed", other, _random_ops(rng, base))
+    assert rounds > 1000 and len(ended) == n
+    assert fingerprint_run(session.finish()) == \
+        fingerprint_run(reference.finish())
