@@ -18,7 +18,7 @@ Run:  python examples/linked_list_crash.py
 """
 
 from repro import RunOptions, SystemConfig, WorkloadSpec, build_system
-from repro.check.kernel import count_points, crash_runs
+from repro.check.kernel import crash_runs
 from repro.check.schedule import SITE_OP
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
 from repro.workloads.linkedlist import LinkedListAppend
@@ -53,8 +53,8 @@ def build_trace(config, barriers: bool):
 
 
 def sweep(config, scheme, barriers: bool):
-    """Crash after every op: count the op boundaries once, then let the
-    crash-exploration kernel fork one crashed machine per boundary.
+    """Crash after every op: one pass of the crash-exploration kernel
+    reads the durable image at every op boundary off the running machine.
     Returns ``(points, inconsistent)`` with ``(op, violations)`` pairs."""
     workload, trace = build_trace(config, barriers)
     checker = workload.make_checker()
@@ -65,15 +65,14 @@ def sweep(config, scheme, barriers: bool):
         workload.seed_media(system.nvmm_media)
         return system
 
-    sites = (SITE_OP,)
-    profile = count_points(build, trace, sites)
-    points = range(1, profile.total + 1)
+    points = 0
     inconsistent = []
-    for run in crash_runs(build, trace, points, profile, sites):
+    for run in crash_runs(build, trace, sites=(SITE_OP,)):
+        points = run.point
         consistent, violations = checker(run.system, run.result)
         if not consistent:
             inconsistent.append((run.point, violations))
-    return len(points), inconsistent
+    return points, inconsistent
 
 
 def summary(points, inconsistent):

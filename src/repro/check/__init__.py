@@ -5,8 +5,8 @@ Layers:
 * :mod:`repro.check.schedule` — crash-schedule hooks the simulator calls
   at every micro-step (dependency-free; imported by the hot modules).
 * :mod:`repro.check.kernel` — the crash-exploration kernel every
-  crash-state consumer shares: count once, walk one master run, fork a
-  snapshot of the machine per crash point.
+  crash-state consumer shares: one master run that reads the durable
+  image of every target crash point off the live machine.
 * :mod:`repro.check.checker` — exhaustive crash-state exploration with
   durable-image fingerprint pruning and differential oracles.
 * :mod:`repro.check.minimize` — ddmin counterexample minimization and the

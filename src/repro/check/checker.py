@@ -5,10 +5,9 @@ The model checker turns the crash-schedule hooks
 crash-exploration kernel (:mod:`repro.check.kernel`): a *counting run*
 executes a workload once with an unbounded schedule to learn how many
 micro-step crash points ``T`` the run reaches, then a *master run* walks
-the trace once more and, for every point ``k`` in ``1..T``, copies the
-machine at the op boundary before ``k`` and crashes the copy at ``k``
-(points in a short prefix are replayed on a fresh system with
-``stop_at=k`` instead, which is cheaper there).  Determinism of the
+the trace once more and, at every point ``k`` in ``1..T``, reads off the
+durable image a crash at ``k`` would leave (a fresh system replayed to
+``stop_at=k`` is the fallback and the reference).  Determinism of the
 simulator guarantees visit ``k`` is the same machine state either way, so
 the enumeration is exhaustive over the modelled micro-steps (mid-drain,
 the L1D-visible/bbPB-allocated window, the coherence forced-drain
@@ -131,11 +130,10 @@ class PointVerdict:
     violations: Tuple[str, ...]
     fingerprint: str
     pruned: bool
-    #: Forked from the kernel's master pass (else replayed on a fresh
+    #: Read off the kernel's master pass (else replayed on a fresh
     #: system, see :mod:`repro.check.kernel`).
-    forked: bool = False
-    #: Why the kernel could not fork this unit's machine, when it fell
-    #: back to replay.
+    virtual: bool = False
+    #: Why the kernel replayed this unit's points instead.
     fallback: Optional[str] = None
 
 
@@ -298,8 +296,8 @@ def _verdict(
                 pruned: bool) -> PointVerdict:
         return PointVerdict(
             run.point, point.site, result.crash_op or 0, point.cycle,
-            consistent, violations, fp, pruned=pruned, forked=run.forked,
-            fallback=None if run.forked else fallback,
+            consistent, violations, fp, pruned=pruned, virtual=run.virtual,
+            fallback=None if run.virtual else fallback,
         )
 
     hit = cache.get(fp) if cache is not None else None
@@ -335,14 +333,13 @@ def _verdict(
 def _check_points(
     unit: CheckUnit,
     ctx: _UnitContext,
-    profile: PointProfile,
     points: Sequence[int],
 ) -> List[PointVerdict]:
     cache: Optional[Dict] = {} if unit.prune else None
     stats = KernelStats()
     return [
         _verdict(unit, ctx, run, cache, stats.fallback)
-        for run in crash_runs(ctx.build_system, ctx.trace, points, profile,
+        for run in crash_runs(ctx.build_system, ctx.trace, points,
                               unit.sites, stats)
     ]
 
@@ -353,7 +350,7 @@ def check_unit_points(unit: CheckUnit, points: Sequence[int]) -> List[PointVerdi
     across processes.  The fingerprint cache is per-shard: parallel runs
     may prune less than a serial run, but verdicts are identical."""
     ctx = _UnitContext(unit)
-    return _check_points(unit, ctx, _profile(ctx), points)
+    return _check_points(unit, ctx, points)
 
 
 def explore(unit: CheckUnit) -> Tuple[List[PointVerdict], int, Dict[str, int]]:
@@ -363,7 +360,7 @@ def explore(unit: CheckUnit) -> Tuple[List[PointVerdict], int, Dict[str, int]]:
     ctx = _UnitContext(unit)
     profile = _profile(ctx)
     points = _select_points(unit, profile.total)
-    verdicts = _check_points(unit, ctx, profile, points)
+    verdicts = _check_points(unit, ctx, points)
     return verdicts, profile.total, profile.site_counts
 
 
@@ -416,8 +413,8 @@ def build_report(
         "explored": sum(1 for v in verdicts if not v.pruned),
         "pruned": sum(1 for v in verdicts if v.pruned),
         "unique_states": len({v.fingerprint for v in verdicts}),
-        "points_forked": sum(1 for v in verdicts if v.forked),
-        "points_replayed": sum(1 for v in verdicts if not v.forked),
+        "points_virtual": sum(1 for v in verdicts if v.virtual),
+        "points_replayed": sum(1 for v in verdicts if not v.virtual),
         "fallback": next((v.fallback for v in verdicts if v.fallback), None),
         "num_violations": len(bad),
         "consistent": not bad,
@@ -467,9 +464,9 @@ def publish_report(report: Dict[str, Any], bus=NULL_BUS, registry=None):
         "crash points whose verdict was reused from an equal fingerprint",
     ).inc(report["pruned"])
     reg.counter(
-        "check.points_forked",
-        "crash points forked from the kernel's master pass",
-    ).inc(report["points_forked"])
+        "check.points_virtual",
+        "crash points read off the kernel's master pass",
+    ).inc(report["points_virtual"])
     reg.counter(
         "check.points_replayed",
         "crash points replayed on a freshly built system",
@@ -477,8 +474,8 @@ def publish_report(report: Dict[str, Any], bus=NULL_BUS, registry=None):
     if report["fallback"]:
         reg.counter_family(
             "check.fallback",
-            "units whose machine the kernel could not snapshot, by reason "
-            "(their points were replayed)",
+            "units whose crash images the kernel could not read off a "
+            "master pass, by reason (their points were replayed)",
             label="reason",
         ).labels(report["fallback"]).inc()
     reg.counter(

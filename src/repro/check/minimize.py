@@ -35,7 +35,7 @@ from repro.check.checker import (
     diff_golden,
     golden_expected,
 )
-from repro.check.kernel import CrashRun, count_points, crash_runs
+from repro.check.kernel import CrashRun, crash_runs
 from repro.core.recovery import check_scheme_contract, claimed_persists
 from repro.core.registry import scheme_info
 from repro.ioutil import atomic_write_json
@@ -128,12 +128,10 @@ def _point_violations(unit, config, seed_words, run: CrashRun):
 
 
 def _crash_runs(unit, config, seed_words, trace, points=None):
-    """Crashed runs of ``trace`` at ``points`` (default: every point)."""
+    """Crashed runs of ``trace`` at ``points`` (default: every point, in
+    one pass)."""
     build = partial(_build_seeded_system, unit, config, seed_words)
-    profile = count_points(build, trace, unit.sites)
-    if points is None:
-        points = range(1, profile.total + 1)
-    return crash_runs(build, trace, points, profile, unit.sites)
+    return crash_runs(build, trace, points, unit.sites)
 
 
 def first_failing_point(

@@ -61,7 +61,7 @@ class DelayedAllocBBB(BBBScheme):
         self._pending.clear()
         return super().finalize(now)
 
-    # crash_drain is inherited unchanged: pending stores are in no bbPB,
+    # crash_writes is inherited unchanged: pending stores are in no bbPB,
     # so they are simply lost — the bug the checker must expose.
 
 
@@ -75,17 +75,10 @@ class ForgetfulEADR(EADR):
     is lost on crash, violating eADR's exact contract.
     """
 
-    def crash_drain(self, now: int):
-        h = self.hierarchy
-        assert h is not None
-        # Empty the L1Ds *before* the inherited drain walks them: the
-        # blocks vanish as if the battery rail to the private caches had
-        # been left unwired.
-        for l1 in h.l1s:
-            for blk in list(l1.dirty_blocks()):
-                blk.dirty = False
-                blk.data = BlockData()
-        return super().crash_drain(now)
+    def _private_caches(self):
+        # As if the battery rail to the private caches had been left
+        # unwired.
+        return ()
 
 
 #: Mutant name -> (base scheme name, constructor).  The base scheme is

@@ -18,10 +18,10 @@ Because the simulator is deterministic, visit ``k`` denotes the same
 machine state on every run of the same (config, scheme, trace).  The
 crash-exploration kernel (:mod:`repro.check.kernel`) therefore enumerates
 the crash-state space exhaustively: it runs the trace once in *counting*
-mode (``stop_at=None``) to learn the total number of visits ``T`` and the
-visit count at every op boundary, then walks the trace once more and, for
-each ``k`` in ``1..T``, sets ``stop_at=k`` on a copy of the machine taken
-at the op boundary before visit ``k``.
+mode (``stop_at=None``) to learn the total number of visits ``T``, then
+walks the trace once more under a schedule that, instead of raising at
+each ``k`` in ``1..T``, reads off the durable image a crash there would
+leave and lets the run carry on.
 
 This module is intentionally dependency-free (no imports from the rest of
 ``repro``): the hot simulator modules import it, so it must sit below all
@@ -124,8 +124,12 @@ class CrashSchedule:
         self.visits += 1
         self.site_counts[site] = self.site_counts.get(site, 0) + 1
         if self.stop_at is not None and self.visits >= self.stop_at:
-            self.fired = FiredPoint(self.visits, site, cycle, addr)
-            raise CrashNow(self.fired)
+            self.fire(FiredPoint(self.visits, site, cycle, addr))
+
+    def fire(self, point: FiredPoint) -> None:
+        """The ``stop_at``-th visit has arrived: crash."""
+        self.fired = point
+        raise CrashNow(point)
 
     def quiet_ops(self) -> int:
         """How many upcoming op boundaries the engine may count in bulk

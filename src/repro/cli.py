@@ -167,6 +167,13 @@ def _parse(parse, text):
         raise _UsageError(exc) from None
 
 
+def _at_least_one(flag: str, value: Optional[int]) -> None:
+    """Reject a count flag below 1: it would make the command's gate pass
+    vacuously."""
+    if value is not None and value < 1:
+        raise _UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _comma_list(text: Optional[str], default=None, parse=str):
     """The items of a comma-separated option value (``--schemes``,
     ``--workloads``, ``--loads``, ...), each stripped and passed through
@@ -335,8 +342,7 @@ def cmd_crash(args) -> int:
     from repro.check.kernel import count_points, crash_runs
     from repro.check.schedule import SITE_OP
 
-    if args.sample < 1:
-        raise _UsageError(f"--sample must be at least 1, got {args.sample}")
+    _at_least_one("--sample", args.sample)
     config = default_sim_config()
     workload = registry(config.mem, _spec(args))[args.workload]
     trace = workload.build()
@@ -365,7 +371,7 @@ def cmd_crash(args) -> int:
     if args.sample < len(points):
         points = sorted(random.Random(args.seed).sample(points, args.sample))
     inconsistent = []
-    for run in crash_runs(build, trace, points, profile, sites):
+    for run in crash_runs(build, trace, points, sites):
         consistent, violations = checker(run.system, run.result)
         if not consistent:
             inconsistent.append((run.point, violations))
@@ -632,6 +638,7 @@ def cmd_faults(args) -> int:
     )
     from repro.fault.plan import BATTERY_DOMAIN_SITES, random_plan
 
+    _at_least_one("--crashes", args.crashes)
     jobs = _jobs(args)
     progress = _progress("units")
     if args.smoke:
@@ -684,6 +691,7 @@ def cmd_check(args) -> int:
     from repro.check.mutants import MUTANTS
     from repro.ioutil import atomic_write_json
 
+    _at_least_one("--max-points", args.max_points)
     jobs = _jobs(args)
     progress = _progress("shards")
     if args.replay:
@@ -744,8 +752,8 @@ def cmd_check(args) -> int:
             ("explored", report["explored"]),
             ("pruned", report["pruned"]),
             ("unique durable states", report["unique_states"]),
-            ("forked / replayed",
-             f"{report['points_forked']} / {report['points_replayed']}"),
+            ("virtual / replayed",
+             f"{report['points_virtual']} / {report['points_replayed']}"),
             *([("replay fallback", report["fallback"])]
               if report["fallback"] else []),
             ("violations", report["num_violations"]),

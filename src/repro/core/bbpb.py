@@ -27,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.check.schedule import CrashNow
 from repro.mem.block import BlockData
 from repro.obs.bus import NULL_BUS, EventBus
 from repro.obs.events import (
@@ -87,6 +86,9 @@ class MemorySideBBPB:
         #: until the WPQ accepts them, but are no longer coalescible and a
         #: new entry for the same block may coexist.
         self._inflight: List[BBPBEntry] = []
+        #: The entry whose drain packet is on its way to the WPQ, which
+        #: has not accepted it yet: the battery still owns it.
+        self._draining: Optional[BBPBEntry] = None
         self._seq = 0
         # Counters surfaced to SimStats by the owning scheme.
         self.allocations = 0
@@ -193,16 +195,11 @@ class MemorySideBBPB:
     # ------------------------------------------------------------------
     def _start_drain(self, entry: BBPBEntry, now: int) -> None:
         entry.in_flight = True
-        try:
-            entry.complete_at = self._drain(entry.block_addr, entry.data, now)
-        except CrashNow:
-            # Scheduled crash with the drain packet in flight: the WPQ has
-            # not accepted the block, so the battery still owns it —
-            # reinstate the entry so crash_drain() persists it.
-            entry.in_flight = False
-            self._resident[entry.block_addr] = entry
-            self._resident.move_to_end(entry.block_addr, last=False)
-            raise
+        # A crash before the WPQ accepts the block (a scheduled crash
+        # point inside the drain) leaves it here for crash_writes().
+        self._draining = entry
+        entry.complete_at = self._drain(entry.block_addr, entry.data, now)
+        self._draining = None
         self._inflight.append(entry)
         self.drains += 1
         if self._bus.enabled:
@@ -278,14 +275,15 @@ class MemorySideBBPB:
     # ------------------------------------------------------------------
     # Crash draining
     # ------------------------------------------------------------------
-    def crash_drain(self) -> List[Tuple[int, BlockData]]:
-        """Return every resident entry (battery guarantees all reach NVMM),
-        oldest first, and empty the buffer.  In-flight entries already
-        reached the WPQ (durable) and need no extra action."""
-        out = [(e.block_addr, e.data.copy()) for e in self._resident.values()]
-        self._resident.clear()
-        self._inflight.clear()
-        return out
+    def crash_writes(self) -> List[Tuple[int, BlockData]]:
+        """``(block_addr, data)`` of every block the battery must write to
+        NVMM on a crash, oldest first: the entry whose drain packet the
+        WPQ has not accepted, then every resident entry.  In-flight
+        entries already reached the WPQ (durable).  Mutates nothing."""
+        entries = list(self._resident.values())
+        if self._draining is not None:
+            entries.insert(0, self._draining)
+        return [(e.block_addr, e.data) for e in entries]
 
     def drain_all(self, now: int) -> int:
         """Synchronously drain everything (end-of-run settling)."""
@@ -394,14 +392,10 @@ class ProcessorSideBBPB:
         return stall, True
 
     def _start_drain(self, entry: BBPBEntry, now: int) -> None:
+        # The entry stays in the FIFO until its caller pops it, so a crash
+        # inside the drain leaves it for crash_writes().
         entry.in_flight = True
-        try:
-            entry.complete_at = self._drain(entry.block_addr, entry.data, now)
-        except CrashNow:
-            # The entry is still in the FIFO (callers pop only after the
-            # drain starts); un-mark it so crash_drain() covers it.
-            entry.in_flight = False
-            raise
+        entry.complete_at = self._drain(entry.block_addr, entry.data, now)
         self.drains += 1
         if self._bus.enabled:
             self._bus.emit(DrainStart(now, self.core_id, entry.block_addr,
@@ -462,10 +456,10 @@ class ProcessorSideBBPB:
                 break
         return t
 
-    def crash_drain(self) -> List[Tuple[int, BlockData]]:
-        out = [(e.block_addr, e.data.copy()) for e in self._fifo]
-        self._fifo.clear()
-        return out
+    def crash_writes(self) -> List[Tuple[int, BlockData]]:
+        """``(block_addr, data)`` of every record still in the FIFO, in
+        program order.  Mutates nothing."""
+        return [(e.block_addr, e.data) for e in self._fifo]
 
     def drain_all(self, now: int) -> int:
         t = now

@@ -15,7 +15,8 @@ Implementation notes:
 
 * the volatile buffer reuses :class:`~repro.core.bbpb.ProcessorSideBBPB`
   (ordered records, in-order drain) without battery semantics: its
-  ``crash_drain`` is never called, the contents simply vanish;
+  entries are not among the scheme's crash writes, so the contents
+  simply vanish;
 * remote invalidation/intervention of a buffered block synchronously
   drains the holder's buffer through that block and *charges the delay to
   the requesting core* (the paper: BSP "delays responses to external
@@ -33,7 +34,7 @@ from typing import List, Optional
 
 from repro.core.bbpb import ProcessorSideBBPB
 from repro.core.drain import WpqDrain
-from repro.core.persistency import DrainReport, PersistencyScheme, SchemeTraits
+from repro.core.persistency import PersistencyScheme, SchemeTraits
 from repro.mem.block import BlockData, CacheBlock
 from repro.obs.events import STALL_BBPB_FULL, StallBegin, StallEnd
 from repro.sim.config import BBBConfig
@@ -172,15 +173,6 @@ class BSP(PersistencyScheme):
             t = max(t, buf.drain_all(now))
             self._record_latencies(buf.core_id, t)
         return t
-
-    def crash_drain(self, now: int) -> DrainReport:
-        """Volatile buffers: everything still buffered is LOST.  Durable
-        state is the per-core program-order prefix that already drained."""
-        assert self.hierarchy is not None
-        for buf in self.buffers:
-            buf.crash_drain()  # discard, no battery
-        self.hierarchy.lose_volatile_state()
-        return DrainReport(scheme=self.name)
 
     def traits(self) -> SchemeTraits:
         return SchemeTraits(

@@ -31,8 +31,8 @@ class WpqDrain:
     """A bbPB drain sink: ``core``'s entries go to the NVMM WPQ.
 
     A small callable object rather than a closure, so copying a machine
-    (the crash-exploration kernel's snapshot) copies the sink together
-    with the hierarchy it writes into.
+    (``copy.deepcopy``) copies the sink together with the hierarchy it
+    writes into.
     """
 
     __slots__ = ("hierarchy", "core")
@@ -56,8 +56,8 @@ class ScheduledDrain:
 
     The hook fires *before* the WPQ write: the entry has left the buffer
     and its packet is in flight, which is exactly the window the bbPB's
-    crash-atomicity (entry reinstatement in
-    :meth:`repro.core.bbpb.MemorySideBBPB._start_drain`) must cover.
+    crash-atomicity (the draining entry it keeps for
+    :meth:`repro.core.bbpb.MemorySideBBPB.crash_writes`) must cover.
     """
 
     __slots__ = ("drain", "schedule")

@@ -30,12 +30,12 @@ related work):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.bbpb import MemorySideBBPB, ProcessorSideBBPB
 from repro.core.drain import WpqDrain, crash_scheduled_drain
-from repro.mem.block import BlockData, CacheBlock
+from repro.mem.block import BlockData, CacheBlock, block_address, block_offset
 from repro.obs.events import (
     STALL_BBPB_FULL,
     DrainEnd,
@@ -75,6 +75,20 @@ class DrainReport:
     @property
     def total_units(self) -> int:
         return self.bbpb_blocks + self.store_buffer_entries + self.cache_blocks
+
+
+#: What a :class:`CrashWrite` drains out of: a persist buffer entry (or an
+#: in-flight coherence move of one), a cache block, a store-buffer entry.
+DRAIN_BBPB, DRAIN_CACHE, DRAIN_SB = "bbpb", "cache", "sb"
+
+
+class CrashWrite(NamedTuple):
+    """One NVMM write the battery makes at a crash."""
+
+    kind: str           # DRAIN_BBPB, DRAIN_CACHE or DRAIN_SB
+    core: int           # owning core, -1 when none
+    block_addr: int
+    data: BlockData     # the live block, read-only
 
 
 class PersistencyScheme:
@@ -153,10 +167,67 @@ class PersistencyScheme:
         state so the media image is complete.  Returns the settling time."""
         return now
 
+    def crash_writes(self) -> List[CrashWrite]:
+        """What the battery would write to NVMM if power failed now, in
+        drain order; mutates nothing.  Subclasses list what their battery
+        covers ahead of this base list: the battery-backed store buffers,
+        in program order (Section III-C).  Without one the scheme covers
+        nothing beyond the (already folded) WPQ."""
+        assert self.hierarchy is not None
+        block_size = self.hierarchy.block_size
+        writes = []
+        for sb in self.hierarchy.store_buffers:
+            for entry in sb.drain_order_on_crash():
+                if entry.persistent:
+                    data = BlockData()
+                    data.write_word(block_offset(entry.addr, block_size),
+                                    entry.value, entry.size)
+                    writes.append(CrashWrite(
+                        DRAIN_SB, sb.core_id,
+                        block_address(entry.addr, block_size), data))
+        return writes
+
     def crash_drain(self, now: int) -> DrainReport:
-        """Power failure: move whatever the battery covers to NVMM media.
-        Base scheme covers nothing beyond the (already folded) WPQ."""
-        return DrainReport(scheme=self.name)
+        """Power failure: the battery makes :meth:`crash_writes`, each
+        drawing on its charge under fault injection, and everything
+        volatile is lost.
+
+        A scheme says what its battery covers by overriding
+        :meth:`crash_writes`, not this method: the crash-exploration
+        kernel reads crash images off a live run through
+        :meth:`crash_writes` alone, and replays every crash point of a
+        scheme that overrides this one."""
+        assert self.hierarchy is not None
+        h = self.hierarchy
+        injector = h.fault_injector
+        report = DrainReport(scheme=self.name)
+        writes = self.crash_writes()
+        if injector.enabled:
+            injector.begin_crash_drain(len(writes), now)
+        for kind, core, block_addr, data in writes:
+            if injector.enabled:
+                # Store-buffer entries draw their charge at cycle 0.
+                if not injector.battery_allows(0 if kind is DRAIN_SB else now):
+                    continue  # battery died mid-drain: the block is lost
+                if kind is DRAIN_BBPB:
+                    data, _ = injector.on_bbpb_crash_entry(core, block_addr,
+                                                           data, now)
+                    if data is None:  # parity caught a corrupt entry
+                        continue
+            h.nvmm.media.write_block(block_addr, data)
+            h.stats.nvmm_writes += 1
+            if kind is DRAIN_SB:
+                report.store_buffer_entries += 1
+                continue
+            report.bytes_drained += h.config.block_size
+            if kind is DRAIN_BBPB:
+                report.bbpb_blocks += 1
+            else:
+                report.cache_blocks += 1
+        if injector.enabled:
+            injector.finish_crash_drain(now)
+        h.lose_volatile_state()
+        return report
 
     def traits(self) -> SchemeTraits:
         raise NotImplementedError
@@ -205,43 +276,34 @@ class EADR(PersistencyScheme):
     def on_llc_eviction(self, block: CacheBlock, now: int) -> bool:
         return False  # normal writebacks; nothing special
 
-    def crash_drain(self, now: int) -> DrainReport:
+    def _private_caches(self) -> List:
+        """The private caches the battery covers."""
+        assert self.hierarchy is not None
+        return self.hierarchy.l1s
+
+    def crash_writes(self) -> List[CrashWrite]:
+        """Every dirty NVMM block of every cache level, then the store
+        buffers."""
         assert self.hierarchy is not None
         h = self.hierarchy
-        injector = h.fault_injector
-        report = DrainReport(scheme=self.name)
-        block_size = h.config.block_size
+        is_nvmm = h.config.mem.is_nvmm
         # L1 dirty copies take precedence over (possibly stale) LLC copies.
         drained: Dict[int, BlockData] = {}
-        for l1 in h.l1s:
+        for l1 in self._private_caches():
             for blk in l1.dirty_blocks():
-                if h.config.mem.is_nvmm(blk.addr):
-                    drained[blk.addr] = blk.data.copy()
+                if is_nvmm(blk.addr):
+                    drained[blk.addr] = blk.data
         for blk in h.llc.dirty_blocks():
-            if h.config.mem.is_nvmm(blk.addr) and blk.addr not in drained:
-                drained[blk.addr] = blk.data.copy()
-        # Eviction writebacks caught in flight by a scheduled crash: the
-        # whole cache-to-controller path is inside eADR's battery domain,
-        # so the packet completes.  Cache copies (if any) are newer.
-        for addr, data in h.inflight_writebacks:
-            if h.config.mem.is_nvmm(addr) and addr not in drained:
-                drained[addr] = data.copy()
-        if injector.enabled:
-            injector.begin_crash_drain(
-                len(drained) + h.crash_sb_persistent_entries(), now
-            )
-        for addr, data in drained.items():
-            if injector.enabled and not injector.battery_allows(now):
-                continue  # battery died mid-drain: the block is lost
-            h.nvmm.media.write_block(addr, data)
-            h.stats.nvmm_writes += 1
-            report.cache_blocks += 1
-            report.bytes_drained += block_size
-        report.store_buffer_entries += h.crash_drain_store_buffers()
-        if injector.enabled:
-            injector.finish_crash_drain(now)
-        h.lose_volatile_state()
-        return report
+            if is_nvmm(blk.addr) and blk.addr not in drained:
+                drained[blk.addr] = blk.data
+        # An eviction writeback on the wire: the whole cache-to-controller
+        # path is inside eADR's battery domain, so the packet completes.
+        # Cache copies (if any) are newer.
+        wire = h.inflight_writeback
+        if wire is not None and is_nvmm(wire.addr) and wire.addr not in drained:
+            drained[wire.addr] = wire.data
+        return [CrashWrite(DRAIN_CACHE, -1, addr, data)
+                for addr, data in drained.items()] + super().crash_writes()
 
     def traits(self) -> SchemeTraits:
         return SchemeTraits(
@@ -428,48 +490,27 @@ class BBBScheme(PersistencyScheme):
             t = max(t, buf.drain_all(now))
         return t
 
-    def crash_drain(self, now: int) -> DrainReport:
+    def crash_writes(self) -> List[CrashWrite]:
+        """Every bbPB entry, then the in-flight coherence moves, then the
+        store buffers."""
         assert self.hierarchy is not None
-        h = self.hierarchy
-        injector = h.fault_injector
-        report = DrainReport(scheme=self.name)
-        entries = [
-            (buf.core_id, block_addr, data)
+        writes = [
+            CrashWrite(DRAIN_BBPB, buf.core_id, block_addr, data)
             for buf in self.buffers
-            for block_addr, data in buf.crash_drain()
+            for block_addr, data in buf.crash_writes()
         ]
         # In-flight coherence moves (Fig. 6a/b) whose new owner never
         # allocated: the battery covers the packet, so they drain too —
         # unless some bbPB still holds a (necessarily fresher) copy.
-        resident = {block_addr for _, block_addr, _ in entries}
-        entries.extend(
-            (-1, block_addr, data)
-            for block_addr, data in h.inflight_bbpb_moves.items()
+        resident = {w.block_addr for w in writes}
+        writes.extend(
+            CrashWrite(DRAIN_BBPB, -1, block_addr, data)
+            for block_addr, data in self.hierarchy.inflight_bbpb_moves.items()
             if block_addr not in resident
         )
-        if injector.enabled:
-            injector.begin_crash_drain(
-                len(entries) + h.crash_sb_persistent_entries(), now
-            )
-        for core, block_addr, data in entries:
-            if injector.enabled:
-                if not injector.battery_allows(now):
-                    continue  # battery died mid-drain: the entry is lost
-                data, _ = injector.on_bbpb_crash_entry(core, block_addr,
-                                                       data, now)
-                if data is None:  # parity caught a corrupt entry: discard
-                    continue
-            h.nvmm.media.write_block(block_addr, data)
-            h.stats.nvmm_writes += 1
-            report.bbpb_blocks += 1
-            report.bytes_drained += h.config.block_size
         # Section III-C: store buffers drain after their bbPB, preserving
         # per-core program order of persists.
-        report.store_buffer_entries += h.crash_drain_store_buffers()
-        if injector.enabled:
-            injector.finish_crash_drain(now)
-        h.lose_volatile_state()
-        return report
+        return writes + super().crash_writes()
 
     def traits(self) -> SchemeTraits:
         side = "memory-side" if self.bbb_config.memory_side else "processor-side"
@@ -573,14 +614,6 @@ class BEP(PersistencyScheme):
             while self._buffers[core]:
                 t = max(t, self._drain_one(core, t))
         return t
-
-    def crash_drain(self, now: int) -> DrainReport:
-        assert self.hierarchy is not None
-        # Volatile buffers: contents are LOST.
-        for buf in self._buffers:
-            buf.clear()
-        self.hierarchy.lose_volatile_state()
-        return DrainReport(scheme=self.name)
 
     def traits(self) -> SchemeTraits:
         return SchemeTraits(

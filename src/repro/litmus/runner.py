@@ -3,10 +3,9 @@
 For each (scheme, test) cell the runner lowers the test to a
 :class:`~repro.sim.trace.ProgramTrace` and crashes it at every micro-step
 point ``k in 1..T`` through the crash-exploration kernel
-(:mod:`repro.check.kernel`: one counting pass, then a crashed machine per
-point — litmus traces are short enough that the kernel replays each
-point on a fresh system with ``stop_at=k``), reading the durable image of
-the test's locations off the NVMM media.  The resulting observed-state
+(:mod:`repro.check.kernel`: one pass that reads the durable image of
+every point off the running machine), reading the test's locations off
+each image.  The resulting observed-state
 set is classified against each formal model's complete allowed set
 (:mod:`repro.litmus.models`):
 
@@ -40,7 +39,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.check.kernel import count_points, crash_runs
+from repro.check.kernel import crash_runs
 from repro.core.registry import (
     MODEL_UNDECLARED,
     PERSISTENCY_MODELS,
@@ -115,15 +114,17 @@ def sweep_states(
     Only crash points contribute observed states — a clean run's media
     image is *not* the durable state for schemes whose battery covers
     volatile structures (the final crash point, firing after the last op,
-    yields the full-store image via ``crash_drain``)."""
-    profile = count_points(build, trace)
+    yields the full-store image via ``crash_writes``).  The kernel images
+    every point in one pass; the last one's index is the total."""
     observed: Dict[State, Dict[str, Any]] = {}
-    for run in crash_runs(build, trace, range(1, profile.total + 1), profile):
+    total = 0
+    for run in crash_runs(build, trace):
+        total = run.point
         state = observe_state(run.system.nvmm_media, test, addrs)
         if state not in observed:
             observed[state] = {"stop_at": run.point,
                                "site": run.result.crash_point.site}
-    return observed, profile.total
+    return observed, total
 
 
 # ----------------------------------------------------------------------

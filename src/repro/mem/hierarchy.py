@@ -27,7 +27,7 @@ dirty-inclusive of all bbPBs (forced drain before eviction, Section III-B).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.mem.block import (
     BlockData,
@@ -37,9 +37,8 @@ from repro.mem.block import (
     I,
     M,
     S,
-    block_offset,
 )
-from repro.check.schedule import NULL_SCHEDULE, SITE_POV, CrashNow
+from repro.check.schedule import NULL_SCHEDULE, SITE_POV
 from repro.fault.injector import NULL_INJECTOR
 from repro.mem.cache import CacheArray
 from repro.mem.coherence import Directory, DrainMessageChannel
@@ -90,10 +89,10 @@ class MemoryHierarchy:
                                    schedule=crash_schedule)
         #: Functional contents of DRAM (volatile: lost on crash).
         self.volatile_image: Dict[int, BlockData] = {}
-        #: Writeback packets caught in flight by a scheduled crash
-        #: (LLC eviction -> NVMM).  Schemes whose battery covers the
-        #: cache-to-controller path (eADR) drain them; all others lose them.
-        self.inflight_writebacks: List[Tuple[int, BlockData]] = []
+        #: The LLC victim whose writeback is on the wire to NVMM, while a
+        #: crash may interrupt it.  Schemes whose battery covers the
+        #: cache-to-controller path (eADR) drain it; all others lose it.
+        self.inflight_writeback: Optional[CacheBlock] = None
         #: Fig. 6(a)/(b) coherence moves caught in flight: a remote
         #: invalidation removed the block from the holder's bbPB and the
         #: requester has not allocated it yet.  The paper's battery covers
@@ -370,16 +369,11 @@ class MemoryHierarchy:
                 self.stats.llc_writebacks_dropped += 1
             else:
                 self.stats.llc_writebacks += 1
-                try:
-                    self._mem_write(victim.addr, victim.data, now)
-                except CrashNow:
-                    # The writeback packet is on the wire when power fails;
-                    # the victim is in no cache any more, so record it for
-                    # schemes whose battery covers this path (eADR).
-                    self.inflight_writebacks.append(
-                        (victim.addr, victim.data.copy())
-                    )
-                    raise
+                # The victim is in no cache any more: a crash before the
+                # write lands finds its packet on the wire.
+                self.inflight_writeback = victim
+                self._mem_write(victim.addr, victim.data, now)
+                self.inflight_writeback = None
 
     # ------------------------------------------------------------------
     # Memory access (functional + timing)
@@ -451,39 +445,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Crash support
     # ------------------------------------------------------------------
-    def crash_sb_persistent_entries(self) -> int:
-        """Persistent store-buffer entries the crash drain would move —
-        the SB contribution to the battery's drain-unit budget."""
-        return sum(
-            1
-            for sb in self.store_buffers
-            for entry in sb.drain_order_on_crash()
-            if entry.persistent
-        )
-
-    def crash_drain_store_buffers(self) -> int:
-        """Battery-backed store buffers drain to the WPQ in program order
-        (Section III-C).  Returns the number of entries drained.  Under
-        fault injection each entry draws on the same battery budget as the
-        bbPB/cache drain that preceded it; a dead battery loses the tail."""
-        count = 0
-        injector = self.fault_injector
-        for sb in self.store_buffers:
-            for entry in sb.drain_order_on_crash():
-                if not entry.persistent:
-                    continue
-                if injector.enabled and not injector.battery_allows(0):
-                    continue
-                baddr = self._baddr(entry.addr)
-                data = BlockData()
-                data.write_word(block_offset(entry.addr, self.block_size),
-                                entry.value, entry.size)
-                self.nvmm.media.write_block(baddr, data)
-                self.stats.nvmm_writes += 1
-                count += 1
-            sb.clear()
-        return count
-
     def lose_volatile_state(self) -> None:
         """Power loss: everything outside the persistence domain vanishes."""
         for l1 in self.l1s:
@@ -491,7 +452,7 @@ class MemoryHierarchy:
         self.llc.clear()
         self.volatile_image.clear()
         self.directory = Directory(self.bus)
-        self.inflight_writebacks = []
+        self.inflight_writeback = None
         self.inflight_bbpb_moves = {}
         for sb in self.store_buffers:
             sb.clear()

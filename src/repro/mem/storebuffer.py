@@ -53,6 +53,10 @@ class StoreBuffer:
         self._bus = bus
         self._fifo: Deque[SBEntry] = deque()
         self._seq = 0
+        #: The oldest store, on its way to the L1D: it has left the FIFO
+        #: but, until the write completes, not the persistence domain.
+        #: The engine sets it around each release a crash may interrupt.
+        self.inflight: Optional[SBEntry] = None
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -126,10 +130,14 @@ class StoreBuffer:
 
     def drain_order_on_crash(self) -> List[SBEntry]:
         """Entries in the order they must reach the WPQ on power failure
-        (program order — the battery guarantees completion)."""
+        (program order, the in-flight store first — the battery
+        guarantees completion)."""
         if not self.battery_backed:
             return []
+        if self.inflight is not None:
+            return [self.inflight, *self._fifo]
         return list(self._fifo)
 
     def clear(self) -> None:
         self._fifo.clear()
+        self.inflight = None

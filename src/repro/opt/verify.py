@@ -278,8 +278,8 @@ def _run_to_completion(program: Program, scheme: str, entries, config,
 
     The crash-point route matters: for schemes whose battery covers
     volatile structures (eADR and friends) a clean run's media image is
-    not the durable state — the final point's ``crash_drain`` is what
-    flushes the covered domain, yielding the full-store image the scheme
+    not the durable state — the final point's ``crash_writes`` are what
+    flush the covered domain, yielding the full-store image the scheme
     actually guarantees."""
     from repro.api import RunOptions, build_system
     from repro.check.kernel import final_crash

@@ -10,7 +10,7 @@ That interleaving lives in one per-op loop, :class:`EngineStream`, which
 reads the next core off a ``(clock, core)`` min-heap.  :meth:`Engine.run`
 is a session over a trace's op lists pumped to the end; serving, drills
 and :meth:`Engine.run_stream` feed a session incrementally; the
-crash-exploration kernel pumps one to an op boundary and forks it.
+crash-exploration kernel pumps one op by op, reading crash images off it.
 
 Store buffers sit between the core and the hierarchy:
 
@@ -39,6 +39,7 @@ from repro.check.schedule import SITE_OP, CrashNow, FiredPoint
 from repro.core.persistency import DrainReport
 from repro.mem.block import block_address
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.storebuffer import SBEntry
 from repro.obs.events import (
     STALL_EPOCH,
     STALL_FLUSH_FENCE,
@@ -114,6 +115,7 @@ class Engine:
         self._is_persistent = self.config.mem.is_persistent
         self._store_buffers = hierarchy.store_buffers
         self._bus = hierarchy.bus
+        self._scheduled = hierarchy.crash_schedule.enabled
         # Always zero (every op runs through _execute).  Kept only because
         # the repository benchmark reads it to label each run's engine path.
         self.batch_counters = {
@@ -240,16 +242,19 @@ class Engine:
                     PersistRecord(core, addr, size, value, self._seq)
                 )
             now += 1  # commit cost
-            try:
+            if self._scheduled:
+                # The fast path models hardware that still routes stores
+                # through the SB: a crash inside the store finds it in
+                # flight, exactly as the slow path would.
+                sb.inflight = SBEntry(addr, size, value, 0, persistent)
                 done, persistent = self.hierarchy.store(
                     core, addr, size, value, now
                 )
-            except CrashNow:
-                # The fast path models hardware that still routes stores
-                # through the SB; restore the entry so the crash drain
-                # sees exactly what the slow path would.
-                sb.push(addr, value, size, persistent, now)
-                raise
+                sb.inflight = None
+            else:
+                done, persistent = self.hierarchy.store(
+                    core, addr, size, value, now
+                )
             if self._log_enabled:
                 result.log.append(LogRecord(LogKind.STORE, core, addr, size, value))
             if persistent:
@@ -292,26 +297,19 @@ class Engine:
     def _release_all(self, core: int, now: int, result: RunResult) -> int:
         sb = self.hierarchy.store_buffers[core]
         while len(sb):
-            entry = sb.pop_oldest(now)
-            try:
-                now = self._release_entry(core, entry, now, result)
-            except CrashNow:
-                # Crash mid-release: the store never left the SB as far as
-                # the persistence domain is concerned — reinstate it ahead
-                # of the unreleased remainder for the crash drain.
-                sb.requeue([entry] + sb.entries())
-                raise
+            now = self._release_oldest(core, now, result)
         return now
 
     def _release_oldest(self, core: int, now: int, result: RunResult) -> int:
         sb = self.hierarchy.store_buffers[core]
         entry = sb.pop_oldest(now)
         if entry is not None:
-            try:
-                now = self._release_entry(core, entry, now, result)
-            except CrashNow:
-                sb.requeue([entry] + sb.entries())
-                raise
+            # Until the L1D write completes the store has not left the SB
+            # as far as the persistence domain is concerned: a crash in
+            # between finds it in flight, ahead of the unreleased rest.
+            sb.inflight = entry
+            now = self._release_entry(core, entry, now, result)
+            sb.inflight = None
         return now
 
     def _release_relaxed(self, core: int, now: int, result: RunResult) -> int:
@@ -353,8 +351,8 @@ class Engine:
         Without ``trace`` the session streams: ops are fed core by core.
         With ``trace`` it runs over the trace's per-thread op lists, held
         as they are, with every core already ended — the session
-        :meth:`run` pumps to the end and the crash-exploration kernel
-        (:mod:`repro.check.kernel`) forks.  An :class:`Engine` is
+        :meth:`run` and the crash-exploration kernel
+        (:mod:`repro.check.kernel`) pump.  An :class:`Engine` is
         single-shot: open one session per engine."""
         if trace is None:
             return EngineStream(self)
@@ -451,17 +449,16 @@ class EngineStream:
     fed — per-request latency falls out of ``clock(core)`` with no per-op
     completion callbacks (:mod:`repro.serve` builds on this).
 
-    Stopping a pump at ``until`` leaves the machine at an op boundary,
-    which is where the crash-exploration kernel (:mod:`repro.check.kernel`)
-    snapshots a session together with its system.
+    Stopping a pump at ``until`` leaves the machine at an op boundary;
+    the crash-exploration kernel (:mod:`repro.check.kernel`) pumps op by
+    op and hands out the crash images each op's visits recorded.
     """
 
     def __init__(self, engine: Engine,
                  ops: Optional[Sequence[List[TraceOp]]] = None) -> None:
         self.engine = engine
         # A streamed session drives every core; one over a trace only the
-        # trace's threads: the cores beyond them never run, and a forked
-        # session then copies per-core state only for cores that do.
+        # trace's threads: the cores beyond them never run.
         n = engine.config.num_cores if ops is None else len(ops)
         self.num_cores = n
         self.result = RunResult(stats=engine.stats)
@@ -470,8 +467,7 @@ class EngineStream:
         self.executed = 0
         # Per-core op queue and the index of its next op.  A trace's op
         # lists are held as they are and never written (its cores start
-        # ended, and only open cores are fed), so a snapshot of the
-        # session shares them.
+        # ended, and only open cores are fed).
         if ops is None:
             self._queues: List[List[TraceOp]] = [[] for _ in range(n)]
             self._mode = [_OPEN] * n
@@ -643,7 +639,7 @@ class EngineStream:
         remaining store-buffer entries and outstanding flushes, finalize
         the scheme (or crash-drain it), and publish per-core cycle counts.
         Ops still queued are dropped.  :meth:`finish`, :meth:`Engine.run`
-        and the crash kernel's forks end here; a settled session is
+        and the crash kernel's master pass end here; a settled session is
         finished."""
         self._finished = True
         engine = self.engine

@@ -1,17 +1,13 @@
-"""The crash-exploration kernel: a snapshot copies the whole machine (or
-refuses to), and every forked crash point is the machine a replay from
-op 0 reaches."""
+"""The crash-exploration kernel: every crash image read off the master
+pass is the machine a replay from op 0 reaches, and a run whose images
+would not match a real crash is replayed instead, saying why."""
 
 import copy
-import threading
-from collections import deque
-from dataclasses import asdict
-from unittest import mock
+from dataclasses import replace
 
 import pytest
 
 from repro.api import RunOptions, build_system
-from repro.check import kernel
 from repro.check.checker import (
     CheckUnit,
     build_report,
@@ -20,24 +16,24 @@ from repro.check.checker import (
 )
 from repro.check.kernel import (
     KernelStats,
-    SnapshotRefused,
     count_points,
     crash_runs,
     final_crash,
-    snapshot,
 )
-from repro.check.schedule import CrashSchedule
+from repro.check.schedule import SITE_WPQ, CrashSchedule
+from repro.core.recovery import check_exact_durability
 from repro.core.persistency import BBBScheme
 from repro.core.registry import (
     CONTRACT_EXACT,
     register_scheme,
     unregister_scheme,
 )
-from repro.fault.injector import NULL_INJECTOR
-from repro.obs.bus import NULL_BUS
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan
 from repro.sim.config import BBBConfig, SystemConfig
-from repro.sim.trace import ProgramTrace, ThreadTrace
+from repro.sim.trace import TraceOp
 from repro.workloads.base import WorkloadSpec, make_workload
+from tests.conftest import conflict_addresses, paddr, single_thread_trace
 
 CFG = SystemConfig(num_cores=2).scaled_for_testing()
 SPEC = WorkloadSpec(threads=2, ops=2, elements=64, seed=3)
@@ -77,42 +73,6 @@ class TestMachineCopies:
         assert schedule.visits == visits
         assert system.nvmm_media.image() == image
 
-    def test_snapshot_shares_immutables_and_copies_state(self):
-        system, schedule = _mid_run_bbb()
-        clone = snapshot(system)
-        assert clone.config is system.config
-        assert clone.bus is NULL_BUS and clone.fault_injector is NULL_INJECTOR
-        assert clone.hierarchy is not system.hierarchy
-        assert clone.crash_schedule is clone.hierarchy.crash_schedule
-        assert clone.crash_schedule is not schedule
-        drains = system.stats.bbpb_drains
-        clone.scheme.finalize(10 ** 9)
-        assert system.stats.bbpb_drains == drains
-        assert clone.stats.bbpb_drains > drains
-
-    def test_snapshot_refuses_a_closure_over_mutable_state(self):
-        system, _ = _mid_run_bbb()
-        system.scheme.hook = _closure_over(system.hierarchy)
-        with pytest.raises(SnapshotRefused, match="closure"):
-            snapshot(system)
-
-    def test_closures_over_immutable_values_are_shared(self):
-        system, _ = _mid_run_bbb()
-        system.scheme.hook = _closure_over(64)
-        assert snapshot(system).scheme.hook is system.scheme.hook
-
-    def test_snapshot_refuses_unknown_builtin_objects(self):
-        system, _ = _mid_run_bbb()
-        system.scheme.lock = threading.Lock()
-        with pytest.raises(SnapshotRefused, match="lock"):
-            snapshot(system)
-
-
-def _closure_over(value):
-    def hook():
-        return value
-    return hook
-
 
 def _replayed(build, trace, point, sites=None):
     system = build(CrashSchedule(stop_at=point, sites=sites))
@@ -121,13 +81,14 @@ def _replayed(build, trace, point, sites=None):
 
 def _state(system, result):
     return (result.crash_op, result.crash_point, system.nvmm_media.image(),
-            result.committed_persists, result.performed_persists,
-            asdict(result.stats))
+            result.committed_persists, result.performed_persists)
 
 
 class TestCrashRuns:
     @pytest.mark.parametrize("scheme", ["bbb", "eadr", "pmem", "bsp", "bep"])
     def test_forked_points_equal_replayed_points(self, scheme):
+        """Every virtual point equals a replay (the name predates virtual
+        crashes: these points used to be forked)."""
         def build(schedule):
             return _build(scheme, schedule)
 
@@ -135,40 +96,74 @@ class TestCrashRuns:
         profile = count_points(build, trace)
         points = range(1, profile.total + 1, 7)
         stats = KernelStats()
-        with mock.patch.object(kernel, "REBUILD_BELOW_OPS", 0):
-            runs = [(run.point, _state(run.system, run.result))
-                    for run in crash_runs(build, trace, points, profile,
-                                          stats=stats)]
-        assert stats.forked == len(runs) and stats.replayed == 0
+        runs = [(run.point, _state(run.system, run.result))
+                for run in crash_runs(build, trace, points, stats=stats)]
+        assert stats.virtual == len(runs) and stats.replayed == 0
         assert stats.fallback is None
         assert runs == [(k, _state(*_replayed(build, trace, k)))
                         for k in points]
 
-    def test_points_before_the_cutoff_are_replayed(self):
-        def build(schedule):
-            return _build("bbb", schedule)
-
-        trace = _hashmap_trace()
-        profile = count_points(build, trace)
-        early = [k for k in range(1, profile.total + 1)
-                 if profile.op_of(k) < kernel.REBUILD_BELOW_OPS][-1]
-        stats = KernelStats()
-        runs = list(crash_runs(build, trace, [early, profile.total],
-                               profile, stats=stats))
-        assert [run.forked for run in runs] == [False, True]
-        assert (stats.forked, stats.replayed) == (1, 1)
-
     def test_epilogue_points_fork_before_the_epilogue(self):
+        """A point in the run's epilogue (finalize's drains) is read off
+        the settling master."""
         def build(schedule):
             return _build("bbb", schedule)
 
         trace = _hashmap_trace()
         profile = count_points(build, trace)
-        assert profile.total > profile.boundaries[-1]  # finalize drains
-        run = next(crash_runs(build, trace, [profile.total], profile))
-        assert run.forked
+        epilogue = profile.site_counts.get("bbpb.drain", 0)
+        assert epilogue and profile.total > trace.total_ops()
+        run = next(crash_runs(build, trace, [profile.total]))
+        assert run.virtual
+        assert run.result.crash_op == trace.total_ops()
         assert _state(run.system, run.result) == _state(
             *_replayed(build, trace, profile.total))
+
+    def test_every_point_in_one_pass(self):
+        """Without ``points`` the master images every visit and needs no
+        counting pass; the last point is the total."""
+        def build(schedule):
+            return _build("bbb", schedule)
+
+        trace = _hashmap_trace()
+        total = count_points(build, trace).total
+        every = [(run.point, _state(run.system, run.result))
+                 for run in crash_runs(build, trace)]
+        assert [point for point, _ in every] == list(range(1, total + 1))
+        assert every == [
+            (run.point, _state(run.system, run.result))
+            for run in crash_runs(build, trace, range(1, total + 1))]
+
+    def test_a_point_past_the_end_is_an_error(self):
+        def build(schedule):
+            return _build("bbb", schedule)
+
+        trace = _hashmap_trace()
+        total = count_points(build, trace).total
+        with pytest.raises(RuntimeError, match=f"{total + 1} did not fire"):
+            list(crash_runs(build, trace, [total, total + 1]))
+
+    def test_an_eviction_writeback_on_the_wire_is_durable_under_eadr(self):
+        """eADR's battery covers the cache-to-controller path: a crash
+        with an LLC victim's writeback still on the wire keeps it, read
+        off the master or replayed."""
+        def build(schedule):
+            return _build("eadr", schedule)
+
+        head = paddr(CFG, 0)
+        trace = single_thread_trace(
+            TraceOp.store(head, 0x2222),
+            *[TraceOp.load(addr)
+              for addr in conflict_addresses(CFG, head, CFG.llc.assoc)],
+        )
+        sites = (SITE_WPQ,)
+        runs = list(crash_runs(build, trace, sites=sites))
+        assert runs
+        for run in runs:
+            replayed = _replayed(build, trace, run.point, sites)
+            for system, result in ((run.system, run.result), replayed):
+                assert check_exact_durability(
+                    system.nvmm_media, result.committed_persists).consistent
 
     def test_final_crash_is_the_last_point(self):
         def build(schedule):
@@ -182,87 +177,20 @@ class TestCrashRuns:
             build, trace, total)[0].nvmm_media.image()
 
 
-def _reachable(root, skip=(), stop=frozenset()):
-    """``id -> object`` for every container and plain object reachable
-    from ``root``, not entering ``skip`` or any object whose id is in
-    ``stop``."""
-    seen = {}
-    todo = [root]
-    while todo:
-        x = todo.pop()
-        if id(x) in seen or id(x) in stop or any(x is s for s in skip):
-            continue
-        if isinstance(x, (list, tuple, deque, set, frozenset)):
-            todo.extend(x)
-        elif isinstance(x, dict):
-            todo.extend(x.values())
-        elif hasattr(x, "__dict__") and not isinstance(x, type):
-            todo.extend(vars(x).values())
-        else:
-            continue
-        seen[id(x)] = x
-    return seen
+class OwnDrainBBB(BBBScheme):
+    """BBB whose crash drain is its own code — the kernel cannot read its
+    crash images off a live run."""
 
-
-def _copied_sizes(fork, master):
-    """Sorted ``len`` of every container a forked session holds that the
-    master's session does not share with it (the system is not walked)."""
-    shared = _reachable(master, skip=(master.engine,))
-    own = _reachable(fork, skip=(fork.engine,), stop=frozenset(shared))
-    return sorted(len(x) for x in own.values()
-                  if isinstance(x, (list, tuple, deque, set, dict)))
-
-
-class TestForks:
-    def test_a_fork_shares_the_op_lists_and_copies_nothing_sized_by_them(
-            self):
-        """Forks at the same op boundary of a trace and of its own head
-        copy containers of equal sizes: nothing a fork copies grows with
-        the ops still to run, because its per-core op lists are the
-        master's."""
-        def build(schedule):
-            return _build("bbb", schedule)
-
-        full = make_workload("hashmap", CFG.mem, WorkloadSpec(
-            threads=2, ops=8, elements=64, seed=3)).build()
-        n = min(len(thread.ops) for thread in full.threads) // 2
-        head = ProgramTrace([ThreadTrace(thread.ops[:n])
-                             for thread in full.threads])
-        assert full.total_ops() >= 2 * head.total_ops()
-        sizes = []
-        for trace in (head, full):
-            master = kernel._Master(build, trace, sites=None)
-            _, session = master.fork(n // 2)
-            assert session.executed == n // 2
-            for core, thread in enumerate(trace.threads):
-                assert session._queues[core] is thread.ops
-                assert session._queues[core] is master.session._queues[core]
-            sizes.append(_copied_sizes(session, master.session))
-        assert sizes[0] == sizes[1]
-
-
-class ClosureDrainBBB(BBBScheme):
-    """BBB whose drain sinks are wrapped in closures over the live sinks —
-    the pattern the kernel's snapshot must refuse."""
-
-    def attach(self, hierarchy):
-        super().attach(hierarchy)
-        for buf in self.buffers:
-            buf._drain = _closure_drain(buf._drain)
-
-
-def _closure_drain(inner):
-    def drain(block_addr, data, now):
-        return inner(block_addr, data, now)
-    return drain
+    def crash_drain(self, now):
+        return super().crash_drain(now)
 
 
 @pytest.fixture
-def closure_scheme():
-    name = "temp-closure-bbb"
+def own_drain_scheme():
+    name = "temp-own-drain-bbb"
     register_scheme(
-        name, cls=ClosureDrainBBB, contract=CONTRACT_EXACT, replace=True,
-        battery_domain=True, doc="bbb with closure drain sinks",
+        name, cls=OwnDrainBBB, contract=CONTRACT_EXACT, replace=True,
+        battery_domain=True, doc="bbb with its own crash_drain",
     )(lambda cls, entries: cls(BBBConfig(entries=entries, memory_side=True)))
     try:
         yield name
@@ -276,31 +204,46 @@ def _verdicts(verdicts):
 
 
 class TestFallback:
-    def test_closure_scheme_falls_back_to_replay(self, closure_scheme):
-        unit = CheckUnit(scheme=closure_scheme, spec=SPEC, config=CFG,
+    def test_crash_drain_override_falls_back_to_replay(self,
+                                                       own_drain_scheme):
+        unit = CheckUnit(scheme=own_drain_scheme, spec=SPEC, config=CFG,
                          entries=4)
-        with mock.patch.object(kernel, "REBUILD_BELOW_OPS", 0):
-            verdicts, total, sites = explore(unit)
-            stock, _, _ = explore(CheckUnit(scheme="bbb", spec=SPEC,
-                                            config=CFG, entries=4))
+        verdicts, total, sites = explore(unit)
+        stock, _, _ = explore(replace(unit, scheme="bbb"))
         assert _verdicts(verdicts) == _verdicts(stock)
-        assert not any(v.forked for v in verdicts)
-        assert all(v.forked for v in stock)
+        assert not any(v.virtual for v in verdicts)
+        assert all(v.virtual for v in stock)
         report = build_report(unit, verdicts, total, sites)
-        assert report["points_forked"] == 0
+        assert report["points_virtual"] == 0
         assert report["points_replayed"] == len(verdicts)
-        assert "closure" in report["fallback"]
+        assert report["fallback"] == "OwnDrainBBB overrides crash_drain"
         reg = publish_report(report)
         assert reg.get("check.points_replayed").value == len(verdicts)
-        assert reg.get("check.points_forked").value == 0
+        assert reg.get("check.points_virtual").value == 0
         [(reason, counter)] = list(reg.get("check.fallback").items())
         assert reason == report["fallback"] and counter.value == 1
 
+    def test_fault_injector_falls_back_to_replay(self):
+        def build(schedule):
+            return build_system(
+                "bbb", entries=4, config=CFG,
+                options=RunOptions(crash_schedule=schedule,
+                                   fault_injector=FaultInjector(FaultPlan())),
+            )
+
+        trace = _hashmap_trace()
+        total = count_points(build, trace).total
+        stats = KernelStats()
+        runs = list(crash_runs(build, trace, [1, total], stats=stats))
+        assert [run.point for run in runs] == [1, total]
+        assert not any(run.virtual for run in runs)
+        assert (stats.virtual, stats.replayed) == (0, 2)
+        assert stats.fallback == "fault injector enabled"
+
     def test_no_fallback_metric_when_every_point_forks(self):
         unit = CheckUnit(scheme="bbb", spec=SPEC, config=CFG, entries=4)
-        with mock.patch.object(kernel, "REBUILD_BELOW_OPS", 0):
-            verdicts, total, sites = explore(unit)
+        verdicts, total, sites = explore(unit)
         report = build_report(unit, verdicts, total, sites)
         assert report["fallback"] is None
-        assert report["points_forked"] == len(verdicts)
+        assert report["points_virtual"] == len(verdicts)
         assert "check.fallback" not in publish_report(report)

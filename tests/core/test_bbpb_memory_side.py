@@ -176,15 +176,15 @@ class TestCrashAndSettle:
         buf, _ = make(entries=8)
         buf.put(0x1000, data(1), 0)
         buf.put(0x1040, data(2), 0)
-        drained = buf.crash_drain()
+        drained = buf.crash_writes()
         assert [a for a, _ in drained] == [0x1000, 0x1040]
-        assert len(buf) == 0
+        assert len(buf) == 2  # crash_writes mutates nothing
 
     def test_crash_drain_carries_latest_coalesced_value(self):
         buf, _ = make(entries=8)
         buf.put(0x1000, data(1), 0)
         buf.put(0x1000, data(9), 10)
-        drained = buf.crash_drain()
+        drained = buf.crash_writes()
         assert drained[0][1].read_word(0) == 9
 
     def test_drain_all_settles_everything(self):

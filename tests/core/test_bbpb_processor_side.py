@@ -117,9 +117,9 @@ class TestCrash:
         buf, _ = make(entries=8)
         buf.put(0x1000, data(1), 0)
         buf.put(0x1040, data(2), 0)
-        drained = buf.crash_drain()
+        drained = buf.crash_writes()
         assert [a for a, _ in drained] == [0x1000, 0x1040]
-        assert len(buf) == 0
+        assert len(buf) == 2  # crash_writes mutates nothing
 
     def test_drain_all(self):
         buf, sink = make(entries=8)

@@ -135,7 +135,7 @@ def test_processor_side_drains_in_program_order(seq):
 def test_crash_drain_preserves_final_values(entries, seq):
     buf, sink, now = run_buffer(MemorySideBBPB, entries, seq)
     crash_content = dict(
-        (addr, data.read_word(0)) for addr, data in buf.crash_drain()
+        (addr, data.read_word(0)) for addr, data in buf.crash_writes()
     )
     final_values = {}
     for block_idx, value in seq:

@@ -49,11 +49,8 @@ def sweep(scheme, config, trace, checker, points=None):
     """``{op: (consistent, violations, run)}`` for an op-boundary sweep
     over ``points`` (default: every op boundary)."""
     build = build_for(scheme, config)
-    profile = kernel.count_points(build, trace, SITES)
-    if points is None:
-        points = range(1, profile.total + 1)
     outcomes = {}
-    for run in kernel.crash_runs(build, trace, points, profile, SITES):
+    for run in kernel.crash_runs(build, trace, points, SITES):
         consistent, violations = checker(run.system, run.result)
         outcomes[run.point] = (consistent, violations, run)
     return outcomes
@@ -86,9 +83,9 @@ def swept_points(monkeypatch):
     calls = []
     crash_runs = kernel.crash_runs
 
-    def spy(build, trace, points, profile, sites=None, stats=None):
+    def spy(build, trace, points=None, sites=None, stats=None):
         calls.append(list(points))
-        return crash_runs(build, trace, calls[-1], profile, sites, stats)
+        return crash_runs(build, trace, calls[-1], sites, stats)
 
     monkeypatch.setattr(kernel, "crash_runs", spy)
 
@@ -102,9 +99,10 @@ def swept_points(monkeypatch):
 class TestCrashPoints:
     def test_all_points_by_default(self, small_config, trace):
         build = build_for("bbb", small_config)
-        profile = kernel.count_points(build, trace, SITES)
-        assert profile.total == trace.total_ops() == 6
-        assert profile.boundaries == tuple(range(1, 7))
+        assert kernel.count_points(build, trace, SITES).total == 6
+        runs = list(kernel.crash_runs(build, trace, sites=SITES))
+        assert [run.point for run in runs] == list(range(1, 7))
+        assert [run.result.crash_op for run in runs] == list(range(1, 7))
 
     def test_sampling_is_deterministic(self, swept_points):
         a = swept_points("--sample", "3", "--seed", "7")

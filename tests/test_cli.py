@@ -208,6 +208,16 @@ class TestFaultsCommand:
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("crashes", ["0", "-1"])
+    def test_crashes_below_one_is_a_usage_error(self, capsys, crashes):
+        # Zero crashes per cell would run no unit and pass vacuously.
+        rc = main(self.ARGS + ["--crashes", crashes])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --crashes must be at least 1, got {crashes}\n")
+        assert captured.out == ""
+
     def test_checkpoint_resume(self, capsys, tmp_path):
         checkpoint = tmp_path / "campaign.ckpt"
         args = self.ARGS + ["--checkpoint", str(checkpoint)]
@@ -224,6 +234,20 @@ class TestCheckCommand:
         "check", "--scheme", "bbb", "--threads", "2", "--ops", "3",
         "--elements", "64", "--jobs", "1",
     ]
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_max_points_below_one_is_a_usage_error(self, capsys, points):
+        # Zero points would check nothing and pass vacuously.
+        rc = main(self.ARGS + ["--max-points", points])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --max-points must be at least 1, got {points}\n")
+        assert captured.out == ""
+
+    def test_report_names_the_path_each_point_took(self, capsys):
+        assert main(self.ARGS + ["--max-points", "5"]) == 0
+        assert "virtual / replayed    | 5 / 0" in capsys.readouterr().out
 
     def test_clean_scheme_reports_and_exits_zero(self, capsys, tmp_path):
         out_file = tmp_path / "check.json"
